@@ -1,10 +1,11 @@
-//! Ablation — every pluggable decoder backend on identical noise.
+//! Ablation — every selectable decoder engine on identical noise.
 //!
 //! The paper's master controller runs Fowler's MWPM; we substitute the
 //! union-find decoder and must show the substitution preserves
-//! behaviour. With the `DecoderBackend` layer the comparison widens to
-//! all four backends on the same shots: accuracy (logical error rate),
-//! modelled decode cycles, and the hardware-model JJ budget, emitted as
+//! behaviour. Every `DecoderChoice` builds a `Decoder`, so the
+//! comparison covers all four engines on the same shots: accuracy
+//! (logical error rate), modelled decode cycles from each engine's
+//! `decode_costed` hook, and the hardware-model JJ budget, emitted as
 //! `BENCH_decoder_backends.json` at the repo root for trend tracking.
 //!
 //! Invariants asserted per operating point:
@@ -20,6 +21,7 @@ use quest_surface::decoder::{Correction, CostReport, Decoder, DecoderChoice};
 use quest_surface::{DecodingGraph, MemoryBasis, MemoryExperiment, MemoryNoise, NodeId};
 use std::cell::RefCell;
 use std::io::Write as _;
+use std::sync::Arc;
 
 const SHOTS: usize = 400;
 const SEED: u64 = 77;
@@ -32,29 +34,19 @@ const REPORT_PATH: &str = concat!(
     "/../../BENCH_decoder_backends.json"
 );
 
-/// Adapts a stateful [`DecoderBackend`] to the read-only [`Decoder`]
-/// trait the memory experiment samples through. The backend's cost
-/// ledger accumulates across every decode the experiment issues and is
-/// read back after the run.
-struct BackendAdapter(RefCell<Box<dyn quest_surface::DecoderBackend>>);
-
-impl BackendAdapter {
-    fn new(choice: DecoderChoice) -> BackendAdapter {
-        BackendAdapter(RefCell::new(choice.backend()))
-    }
-
-    fn cost(&self) -> CostReport {
-        self.0.borrow().cost()
-    }
+/// Meters an engine's cost across every decode the memory experiment
+/// issues: each decode goes through [`Decoder::decode_costed`] into one
+/// ledger, read back after the run.
+#[derive(Debug)]
+struct Metered {
+    engine: Arc<dyn Decoder + Send + Sync>,
+    cost: RefCell<CostReport>,
 }
 
-impl Decoder for BackendAdapter {
+impl Decoder for Metered {
     fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        self.0.borrow_mut().decode(graph, events)
-    }
-
-    fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
-        self.0.borrow_mut().decode_many(graph, event_sets)
+        self.engine
+            .decode_costed(graph, events, &mut self.cost.borrow_mut())
     }
 }
 
@@ -81,10 +73,13 @@ fn main() {
         let noise = MemoryNoise::code_capacity(p);
         let mut rates = Vec::new();
         for choice in DecoderChoice::ALL {
-            let adapter = BackendAdapter::new(choice);
+            let metered = Metered {
+                engine: choice.decoder(),
+                cost: RefCell::new(CostReport::default()),
+            };
             let mut rng = StdRng::seed_from_u64(SEED);
-            let rate = exp.logical_error_rate(&noise, &adapter, SHOTS, &mut rng);
-            let cost = adapter.cost();
+            let rate = exp.logical_error_rate(&noise, &metered, SHOTS, &mut rng);
+            let cost = metered.cost.into_inner();
             row(&[
                 choice.name(),
                 &d.to_string(),

@@ -9,9 +9,13 @@
 //! quantum instructions). Anything the lookup table cannot explain is
 //! escalated to the master controller's global decoder, costing upstream
 //! syndrome bandwidth.
+//!
+//! The pipeline holds its [`LutDecoder`] directly — the per-round path
+//! calls no trait object — and prices the lookups from its own
+//! [`DecodeStats`] (see [`DecoderPipeline::local_cost`]).
 
-use quest_surface::decoder::{Correction, CostReport, DecoderBackend, LutBackend};
-use quest_surface::{DecodingGraph, NodeId, RotatedLattice, StabKind};
+use quest_surface::decoder::{Correction, CostReport};
+use quest_surface::{DecodingGraph, LutDecoder, NodeId, RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 
 /// Statistics for the local decode stage.
@@ -83,13 +87,11 @@ pub enum Reference {
 #[derive(Debug, Clone)]
 pub struct DecoderPipeline {
     kind: StabKind,
-    /// Single-round decoding graph driving the local backend.
+    /// Single-round decoding graph driving the local lookup.
     graph: DecodingGraph,
-    /// The local decode engine, dispatched through the pluggable
-    /// [`DecoderBackend`] trait (a [`LutBackend`]; its
-    /// [`DecoderBackend::try_decode`] escalates on patterns outside the
-    /// table, which is exactly the MCE-local contract).
-    local: Box<dyn DecoderBackend>,
+    /// The local lookup table; a miss escalates, which is exactly the
+    /// MCE-local contract.
+    lut: LutDecoder,
     /// Previous round's syndrome bits (for detection-event differencing);
     /// `None` while waiting for a first-round reference.
     previous: Option<Vec<bool>>,
@@ -119,7 +121,7 @@ impl DecoderPipeline {
         reference: Reference,
     ) -> DecoderPipeline {
         let graph = DecodingGraph::new(lattice, kind, 1);
-        let local: Box<dyn DecoderBackend> = Box::new(LutBackend::new(&graph));
+        let lut = LutDecoder::new(&graph);
         let previous = match reference {
             Reference::Deterministic => Some(vec![false; graph.num_checks()]),
             Reference::FirstRound => None,
@@ -127,7 +129,7 @@ impl DecoderPipeline {
         DecoderPipeline {
             kind,
             graph,
-            local,
+            lut,
             previous,
             frame: BTreeSet::new(),
             round: 0,
@@ -190,11 +192,13 @@ impl DecoderPipeline {
         self.stats
     }
 
-    /// Accumulated cost counters of the local decode backend: one
-    /// primary decode per LUT lookup, one fallback count per escalated
-    /// miss, and the LUT bank's modeled JJ footprint.
+    /// Modeled cost of the local decodes so far: one primary decode per
+    /// LUT lookup (every eventful round), one fallback count per
+    /// escalated miss, and the LUT bank's JJ footprint.
     pub fn local_cost(&self) -> CostReport {
-        self.local.cost()
+        let s = self.stats;
+        self.lut
+            .lookup_cost(s.local_hits + s.escalations, s.escalations)
     }
 
     /// The accumulated Pauli frame: data qubits whose readout must be
@@ -250,7 +254,7 @@ impl DecoderPipeline {
         if events.is_empty() {
             self.stats.quiet_rounds += 1;
         } else {
-            match self.local.try_decode(&self.graph, &events) {
+            match self.lut.try_correction(&self.graph, &events) {
                 Some(Correction { data_flips, .. }) => {
                     self.stats.local_hits += 1;
                     self.stats.local_corrections += data_flips.len() as u64;
@@ -392,7 +396,7 @@ mod tests {
     #[test]
     fn escalation_accounting_matches_local_backend_cost() {
         // Every non-quiet round is exactly one lookup on the local
-        // backend, and every escalation is exactly one recorded miss.
+        // table, and every escalation is exactly one recorded miss.
         let lat = RotatedLattice::new(5);
         let mut p = DecoderPipeline::new(&lat, StabKind::Z);
         let zc = lat.plaquettes_of(StabKind::Z).count();

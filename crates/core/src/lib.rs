@@ -73,9 +73,9 @@ pub mod timing;
 
 pub use bus::{BusCounters, Traffic};
 pub use decoder_pipeline::{DecodeStats, DecoderPipeline, Escalation};
-// The pluggable decode-backend layer lives in quest-surface (the
+// Decoder selection and cost accounting live in quest-surface (the
 // dependency points that way); re-exported here so the runtime, server
-// and CLI can name it from the architecture crate.
+// and CLI can name them from the architecture crate.
 pub use delivery::{DeliveryEngine, DeliveryMode};
 pub use error::{BuildError, CnotError, ReplayError};
 pub use execution_unit::{ExecutionStats, ExecutionUnit, FireResult};
@@ -90,7 +90,7 @@ pub use microcode::{MicrocodeDesign, QeccMicrocode};
 pub use multi_tile::{LogicalBasis, MultiTileSystem};
 pub use network::{Network, Packet, PacketKind};
 pub use primeline::PrimelineResources;
-pub use quest_surface::decoder::{CostReport, DecoderBackend, DecoderChoice};
+pub use quest_surface::decoder::{CostReport, DecoderChoice};
 pub use report::{decode_totals, RunReport};
 pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
 pub use system::{QuestSystem, MCE_IBUF_BYTES};

@@ -13,8 +13,9 @@ use crate::error::ReplayError;
 use crate::instruction_pipeline::traffic_class;
 use crate::mce::Mce;
 use quest_isa::{InstrClass, LogicalInstr};
-use quest_surface::decoder::{CostReport, DecoderBackend, DecoderChoice};
+use quest_surface::decoder::{CostReport, Decoder, DecoderChoice};
 use quest_surface::{DecodingGraph, StabKind};
+use std::sync::Arc;
 
 /// Bytes of syndrome data per escalated detection event (check id + round
 /// tag in the upstream packet format).
@@ -39,7 +40,11 @@ pub struct MasterStats {
 pub struct MasterController {
     bus: BusCounters,
     stats: MasterStats,
-    decoder: Box<dyn DecoderBackend>,
+    /// The global decode engine selected for the run.
+    choice: DecoderChoice,
+    decoder: Arc<dyn Decoder + Send + Sync>,
+    /// Cost ledger of every global decode this controller performed.
+    cost: CostReport,
 }
 
 impl Default for MasterController {
@@ -50,29 +55,31 @@ impl Default for MasterController {
 
 impl MasterController {
     /// Creates a master controller with zeroed counters and the default
-    /// (software union-find) global decoder backend.
+    /// (software union-find) global decoder.
     pub fn new() -> MasterController {
         MasterController::default()
     }
 
-    /// Creates a master controller whose global decoder is the backend
+    /// Creates a master controller whose global decoder is the engine
     /// selected by `choice`.
     pub fn with_decoder(choice: DecoderChoice) -> MasterController {
         MasterController {
             bus: BusCounters::default(),
             stats: MasterStats::default(),
-            decoder: choice.backend(),
+            choice,
+            decoder: choice.decoder(),
+            cost: CostReport::default(),
         }
     }
 
-    /// Name of the global decoder backend in use.
+    /// Name of the global decoder in use.
     pub fn decoder_name(&self) -> &'static str {
-        self.decoder.name()
+        self.choice.name()
     }
 
-    /// Accumulated decode-cost counters of the global decoder backend.
+    /// Accumulated decode-cost counters of the global decodes so far.
     pub fn decoder_cost(&self) -> CostReport {
-        self.decoder.cost()
+        self.cost
     }
 
     /// Global-bus traffic counters.
@@ -276,7 +283,7 @@ impl MasterController {
             self.bus
                 .record(Traffic::Syndrome, event_count * SYNDROME_EVENT_BYTES);
             self.stats.global_decodes += 1;
-            let correction = self.decoder.decode(&graph, &events);
+            let correction = self.decoder.decode_costed(&graph, &events, &mut self.cost);
             mce.decoder_mut(kind)
                 .apply_global_correction(correction.data_flips.iter().copied());
         }
@@ -287,7 +294,9 @@ impl MasterController {
         // Single-round graph: the MCE escalates per round. The global
         // decoder sees the same node numbering the escalation used.
         let graph = DecodingGraph::new(mce.lattice(), kind, 1);
-        let correction = self.decoder.decode(&graph, &esc.events);
+        let correction = self
+            .decoder
+            .decode_costed(&graph, &esc.events, &mut self.cost);
         mce.decoder_mut(kind)
             .apply_global_correction(correction.data_flips.iter().copied());
     }

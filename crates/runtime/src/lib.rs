@@ -885,7 +885,7 @@ impl Master<'_, '_, '_> {
         }
         let escalations = self.shard_stats.iter().map(|s| s.escalations).sum();
         // The pool's merged decode-cost ledger must be read before the
-        // shutdown consumes the pool. The master's own backend never ran
+        // shutdown consumes the pool. The master's own decoder never ran
         // a decode (escalations all go through the pool), so the pool
         // ledger — merged onto any pre-resume baseline — IS the run's
         // global decode cost.

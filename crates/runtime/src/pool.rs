@@ -1,14 +1,15 @@
 //! Shared global-decode worker pool.
 //!
 //! Escalations from all shards converge at the master, which packages
-//! them into per-cycle batches and fans the batch out to this pool. Each
-//! worker owns a backend built from the spec's [`DecoderChoice`] and
-//! prebuilt single-round [`BatchGraphs`], decoding its chunk with
-//! [`decode_batch_backend`] — the same graphs and backend kind the
-//! single-threaded master uses, so pooled decoding changes throughput,
-//! never corrections. Per-chunk [`CostReport`]s ride back with the
-//! corrections and merge (order-invariantly) into one pool-level cost,
-//! which therefore matches the reference executor's bit for bit.
+//! them into per-cycle batches and fans the batch out to this pool. The
+//! workers share one engine built from the spec's [`DecoderChoice`];
+//! each holds prebuilt single-round [`BatchGraphs`] and decodes its
+//! chunk with [`decode_batch`] into a fresh [`CostReport`] — the same
+//! graphs and engine kind the single-threaded master uses, so pooled
+//! decoding changes throughput, never corrections. The per-chunk
+//! ledgers ride back with the corrections and merge (order-invariantly)
+//! into one pool-level cost, which therefore matches the reference
+//! executor's bit for bit.
 //!
 //! The pool is supervised: a worker that panics mid-chunk (including the
 //! fault layer's injected kill) is caught by `catch_unwind` inside the
@@ -21,7 +22,7 @@
 
 use crate::error::RuntimeError;
 use quest_surface::decoder::batch::{BatchGraphs, DecodeJob};
-use quest_surface::decoder::{decode_batch_backend, CostReport, DecoderChoice};
+use quest_surface::decoder::{decode_batch, CostReport, Decoder, DecoderChoice};
 use quest_surface::{RotatedLattice, StabKind};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,7 +93,7 @@ impl PoolStats {
 pub(crate) struct DecodePool<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     lattice: &'env RotatedLattice,
-    choice: DecoderChoice,
+    decoder: Arc<dyn Decoder + Send + Sync>,
     chunk_tx: Sender<Chunk>,
     chunk_rx: Arc<Mutex<Receiver<Chunk>>>,
     result_tx: Sender<WorkerMessage>,
@@ -103,8 +104,8 @@ pub(crate) struct DecodePool<'scope, 'env> {
 }
 
 impl<'scope, 'env> DecodePool<'scope, 'env> {
-    /// Spawns `workers` decode threads inside `scope`, each owning one
-    /// backend built from `choice`.
+    /// Spawns `workers` decode threads inside `scope`, sharing one
+    /// engine built from `choice`.
     pub(crate) fn spawn(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         lattice: &'env RotatedLattice,
@@ -117,7 +118,7 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         let mut pool = DecodePool {
             scope,
             lattice,
-            choice,
+            decoder: choice.decoder(),
             chunk_tx,
             chunk_rx: Arc::new(Mutex::new(chunk_rx)),
             result_tx,
@@ -140,10 +141,9 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
         let chunk_rx = Arc::clone(&self.chunk_rx);
         let result_tx = self.result_tx.clone();
         let lattice = self.lattice;
-        let choice = self.choice;
+        let decoder = Arc::clone(&self.decoder);
         self.handles.push(self.scope.spawn(move || {
             let graphs = BatchGraphs::new(lattice);
-            let mut backend = choice.backend();
             loop {
                 // Holding the lock only for the recv keeps workers
                 // pulling chunks as they free up. A poisoned lock (a
@@ -164,13 +164,14 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
                         // quest-lint: allow(QL01) -- deliberate fault injection: exercises the supervisor's requeue-and-respawn path
                         panic!("injected decode-worker death");
                     }
-                    // Scope the cost accumulator to this chunk so the
-                    // result carries exactly these jobs' cost (a dead
-                    // chunk's partial cost is discarded with the worker,
-                    // so the requeued decode is counted exactly once).
-                    backend.reset_cost();
-                    let corrections = decode_batch_backend(backend.as_mut(), &graphs, &chunk.jobs);
-                    (corrections, backend.cost())
+                    // A fresh ledger per chunk: the result carries
+                    // exactly these jobs' cost (a dead chunk's ledger
+                    // dies with the worker, so the requeued decode is
+                    // counted exactly once).
+                    let mut cost = CostReport::default();
+                    let corrections =
+                        decode_batch(decoder.as_ref(), &graphs, &chunk.jobs, &mut cost);
+                    (corrections, cost)
                 }));
                 match outcome {
                     Ok((corrections, cost)) => {
@@ -317,7 +318,6 @@ impl<'scope, 'env> DecodePool<'scope, 'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quest_surface::decoder::Decoder;
     use quest_surface::{DecodingGraph, UnionFindDecoder};
 
     fn demo_batch() -> Vec<(usize, StabKind, DecodeJob)> {
@@ -424,14 +424,14 @@ mod tests {
     #[test]
     fn pool_cost_matches_sequential_for_every_backend() {
         // The decode pool's merged CostReport must equal a sequential
-        // decode of the same jobs on one backend — for every selectable
-        // backend, and even when a worker death forces a requeue.
+        // decode of the same jobs into one ledger — for every selectable
+        // engine, and even when a worker death forces a requeue.
         let lattice = RotatedLattice::new(5);
         for choice in DecoderChoice::ALL {
             let graphs = BatchGraphs::new(&lattice);
-            let mut reference = choice.backend();
+            let mut reference = CostReport::default();
             let jobs: Vec<DecodeJob> = demo_batch().into_iter().map(|(_, _, j)| j).collect();
-            decode_batch_backend(reference.as_mut(), &graphs, &jobs);
+            decode_batch(choice.decoder().as_ref(), &graphs, &jobs, &mut reference);
             for kill_one in [false, true] {
                 std::thread::scope(|scope| {
                     let mut pool = DecodePool::spawn(scope, &lattice, choice, 3);
@@ -439,7 +439,7 @@ mod tests {
                     assert_eq!(got.len(), jobs.len());
                     assert_eq!(
                         pool.cost(),
-                        reference.cost(),
+                        reference,
                         "{choice} kill={kill_one}: pool cost diverged"
                     );
                     pool.shutdown();

@@ -4,11 +4,12 @@
 //! barrier, resumed on a fresh `Runtime`, produces a `RunReport` —
 //! outcomes, bus ledger, decode cost, recovery counters, everything —
 //! bit-identical to the uninterrupted run. The pin kills a faulted run
-//! at *every* cycle k, at shard counts 1/2/4, and diffs full reports.
+//! at *every* cycle k, at shard counts 1/2/4, and diffs full reports;
+//! every decode engine is pinned at one shard count and one kill cycle.
 
 use quest_runtime::{
-    CancelToken, CheckpointSink, FaultPlan, RunControl, RunProgress, RunSnapshot, Runtime,
-    RuntimeError, ShardPanicPlan, WorkloadSpec,
+    CancelToken, CheckpointSink, DecoderChoice, FaultPlan, RunControl, RunProgress, RunSnapshot,
+    Runtime, RuntimeError, ShardPanicPlan, WorkloadSpec,
 };
 
 const CYCLES: u64 = 10;
@@ -79,6 +80,22 @@ fn killing_at_every_cycle_and_resuming_is_bit_identical() {
                 "pool job totals must include the pre-snapshot baseline"
             );
         }
+    }
+    // The engine and its cost ledger cross the snapshot too (the table
+    // engine's lazily built tables included).
+    for decoder in DecoderChoice::ALL {
+        let mut spec = faulted_spec(2);
+        spec.decoder = decoder;
+        let rt = runtime();
+        let baseline = rt.run(&spec).unwrap();
+        let snap = run_killed_at(&rt, &spec, CYCLES / 2);
+        let resumed = rt.resume(&snap, &RunControl::new()).unwrap();
+        assert_eq!(
+            resumed.report,
+            baseline.report,
+            "resume diverged (decoder={decoder}, killed at cycle {})",
+            CYCLES / 2
+        );
     }
 }
 

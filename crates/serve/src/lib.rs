@@ -495,9 +495,8 @@ fn worker_loop(shared: &ServerShared, queue: &JobQueue<Job>) {
         // race — the budget was spent either way).
         let last_percent = AtomicU64::new(0);
         let deadline_hit = AtomicBool::new(false);
-        // The hook must be `Sync` and `Job` is not (a carried snapshot
-        // owns a decoder backend), so the closure borrows exactly the
-        // Sync pieces it needs.
+        // The hook must be `Sync`; the closure borrows exactly the
+        // pieces it needs rather than the whole `Job`.
         let deadline = job.policy.deadline_cycles;
         let deadline_cancel = job.cancel.clone();
         let cell = Arc::clone(&job.cell);

@@ -1,18 +1,21 @@
-//! The pluggable decode-engine layer: [`DecoderBackend`] and its cost
-//! accounting.
+//! Decode-cost accounting and per-run engine selection.
 //!
-//! Everything in the workspace that decodes — the master controller's
-//! global decoder, the runtime's shared decode pool, the MCE-local
-//! [`LutDecoder`] pipeline — dispatches through this trait, so a decode
-//! engine can be swapped per run (the runtime's `DecoderChoice`, the
-//! CLI's `--decoder` flag) without touching any of those layers. Unlike
-//! the read-only [`Decoder`] trait used by the samplers,
-//! a backend takes `&mut self`: it owns its scratch memory (zero
-//! per-shot allocation) and accumulates a [`CostReport`] across decodes.
+//! Everything in the workspace that decodes — the samplers, the master
+//! controller's global decoder, the runtime's shared decode pool —
+//! goes through the one [`Decoder`] trait. A run picks its global
+//! engine with [`DecoderChoice`] (the runtime's `spec.decoder`, the
+//! CLI's `--decoder` flag), which builds it as a shared
+//! `Arc<dyn Decoder + Send + Sync>`.
+//!
+//! Engines are read-only; the cost ledger belongs to the caller. Each
+//! engine prices its decodes through [`Decoder::decode_costed`] into a
+//! [`CostReport`] the caller passes in: the master controller keeps one
+//! ledger for its run, and each decode-pool worker starts a fresh one
+//! per chunk.
 //!
 //! # Cost model
 //!
-//! Each backend prices its decodes in cycles of the 10 GHz SFQ clock and
+//! Each engine prices its decodes in cycles of the 10 GHz SFQ clock and
 //! a Josephson-junction footprint, using the same constants as the
 //! microcode-memory model in `quest-core`'s `jj` module (duplicated here
 //! because the dependency points the other way: core builds on
@@ -21,16 +24,15 @@
 //! pool — which splits a batch across workers in nondeterministic order
 //! — reports bit-identical costs to the single-threaded reference.
 
-use super::batch::{BatchGraphs, DecodeJob};
-use super::lut::LutDecoder;
 use super::pipelined::PipelinedUfDecoder;
 use super::table::TableDecoder;
-use super::union_find::{UfScratch, UfTrace, UnionFindDecoder};
-use super::{Correction, CorrectionBatch, Decoder, EventPlanes, ExactMatchingDecoder};
+use super::union_find::{UfTrace, UnionFindDecoder};
+use super::{Correction, Decoder, ExactMatchingDecoder};
 use crate::graph::{DecodingGraph, Fault, NodeId};
 use crate::lattice::StabKind;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// JJs per bit of decode-pipeline memory (ERSFQ non-destructive-readout
 /// cell; mirrors `quest_core::jj::JJ_PER_BIT`).
@@ -55,7 +57,7 @@ pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
     }
 }
 
-/// Accumulated decode-cost counters for one backend.
+/// Accumulated decode-cost counters, owned by whoever runs the decodes.
 ///
 /// All fields are integers and [`CostReport::merge`] only sums and
 /// maxes, so merging per-worker reports in any order yields the same
@@ -64,10 +66,11 @@ pub(crate) fn read_latency_cycles(bank_bits: u64) -> u64 {
 #[must_use]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
-    /// Decodes performed by the backend's primary engine.
+    /// Decodes performed by the engine's primary method.
     pub decodes: u64,
-    /// Decodes the backend handed to its union-find fallback (graphs or
-    /// event sets outside the primary engine's domain).
+    /// Decodes the engine handed to its union-find fallback (graphs or
+    /// event sets outside the primary method's domain), or, for the
+    /// MCE-local lookup table, lookups that escalated.
     pub fallback_decodes: u64,
     /// Total modeled decode cycles at the 10 GHz SFQ clock.
     pub cycles: u64,
@@ -75,7 +78,7 @@ pub struct CostReport {
     /// worst case, which bounds the syndrome backlog).
     pub max_decode_cycles: u64,
     /// Modeled JJ footprint of the decode hardware. A capacity, not a
-    /// rate: merging takes the max, and software backends report 0.
+    /// rate: merging takes the max, and software engines report 0.
     pub jj_count: u64,
 }
 
@@ -90,7 +93,7 @@ impl CostReport {
     }
 
     /// Records one decode that cost `cycles`, attributing it to the
-    /// primary engine or the fallback.
+    /// primary method or the fallback.
     pub(crate) fn record(&mut self, cycles: u64, fallback: bool) {
         if fallback {
             self.fallback_decodes = self.fallback_decodes.saturating_add(1);
@@ -112,258 +115,99 @@ impl fmt::Display for CostReport {
     }
 }
 
-/// A decode engine the master controller, decode pool and MCE pipeline
-/// can dispatch through.
-///
-/// Implementations own their scratch memory and cost accumulator;
-/// [`DecoderBackend::decode`] must be total (any graph, any event set)
-/// and deterministic in `(graph, events)` alone.
-pub trait DecoderBackend: std::fmt::Debug + Send {
-    /// Stable machine-readable backend name (what `--decoder` parses and
-    /// the serve ledger reports).
-    fn name(&self) -> &'static str;
-
-    /// Decodes one event set over `graph` into a correction, accruing
-    /// the decode's modeled cost.
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction;
-
-    /// Decodes a batch of event sets against one graph (scratch reuse
-    /// is the implementation's concern; the default just loops).
-    fn decode_many(
-        &mut self,
-        graph: &DecodingGraph,
-        event_sets: &[Vec<NodeId>],
-    ) -> Vec<Correction> {
-        event_sets.iter().map(|ev| self.decode(graph, ev)).collect()
-    }
-
-    /// Attempts a decode that is allowed to *escalate* (return `None`)
-    /// instead of falling back — the MCE-local contract, where a miss is
-    /// forwarded to the global decoder rather than solved locally. The
-    /// default never escalates.
-    fn try_decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Option<Correction> {
-        Some(self.decode(graph, events))
-    }
-
-    /// Decodes a whole batch handed over as detection-event bit-planes
-    /// (see [`EventPlanes`]), writing each shot's data-qubit flips into
-    /// `out`. Bit-identical to scattering the planes and calling
-    /// [`DecoderBackend::decode_many`] — the default does exactly that;
-    /// backends with a native plane path override it to skip the sparse
-    /// sets and per-shot [`Correction`] allocations.
-    fn decode_planes(
-        &mut self,
-        graph: &DecodingGraph,
-        planes: &EventPlanes<'_>,
-        out: &mut CorrectionBatch,
-    ) {
-        let mut event_sets: Vec<Vec<NodeId>> = Vec::new();
-        planes.scatter_into(&mut event_sets);
-        let corrections = self.decode_many(graph, &event_sets);
-        out.clear();
-        for c in &corrections {
-            for &q in &c.data_flips {
-                out.push_flip(q);
-            }
-            out.finish_shot();
-        }
-    }
-
-    /// The cost accumulated since construction or the last
-    /// [`DecoderBackend::reset_cost`].
-    fn cost(&self) -> CostReport;
-
-    /// Clears the cost accumulator (the decode pool scopes costs to one
-    /// chunk this way).
-    fn reset_cost(&mut self);
-
-    /// Clones the backend behind the object (costs included), so systems
-    /// holding a boxed backend stay `Clone`.
-    fn clone_box(&self) -> Box<dyn DecoderBackend>;
-}
-
-impl Clone for Box<dyn DecoderBackend> {
-    fn clone(&self) -> Box<dyn DecoderBackend> {
-        self.clone_box()
-    }
-}
-
-/// Decodes a tagged job batch through a backend against prebuilt
-/// single-round graphs — the trait-dispatching counterpart of
-/// [`decode_batch`](super::batch::decode_batch), used by the runtime's
-/// decode pool.
-pub fn decode_batch_backend(
-    backend: &mut dyn DecoderBackend,
-    graphs: &BatchGraphs,
-    jobs: &[DecodeJob],
-) -> Vec<Correction> {
-    jobs.iter()
-        .map(|job| backend.decode(graphs.graph(job.kind), &job.events))
-        .collect()
-}
-
 /// The total work counted by a [`UfTrace`], in unit-work cycles: one
 /// cycle per member visit, edge touch, merge, erased-edge insertion,
-/// forest visit and peeled edge. The software backends price decodes
-/// with this flat model; the pipelined backend prices the same trace
+/// forest visit and peeled edge. The software engines price decodes
+/// with this flat model; the pipelined engine prices the same trace
 /// against its staged hardware model instead.
-fn trace_work_cycles(t: &UfTrace) -> u64 {
+pub(crate) fn trace_work_cycles(t: &UfTrace) -> u64 {
     t.member_visits + t.edge_touches + t.merges + t.erased_edges + t.forest_visits + t.peeled_edges
 }
 
-/// [`UnionFindDecoder`] as a backend: the workspace's default global
-/// decoder, with persistent scratch and trace-derived work accounting.
-/// A software engine, so its JJ footprint is 0.
-#[derive(Debug, Clone, Default)]
-pub struct UfBackend {
-    decoder: UnionFindDecoder,
-    scratch: UfScratch,
-    cost: CostReport,
-}
-
-impl UfBackend {
-    /// Creates the backend with empty scratch (sized on first decode).
-    pub fn new() -> UfBackend {
-        UfBackend::default()
-    }
-}
-
-impl DecoderBackend for UfBackend {
-    fn name(&self) -> &'static str {
-        "union-find"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        let mut trace = UfTrace::default();
-        let correction = self
-            .decoder
-            .decode_traced(graph, events, &mut self.scratch, &mut trace);
-        self.cost.record(trace_work_cycles(&trace), false);
-        correction
-    }
-
-    fn decode_planes(
-        &mut self,
-        graph: &DecodingGraph,
-        planes: &EventPlanes<'_>,
-        out: &mut CorrectionBatch,
-    ) {
-        let cost = &mut self.cost;
-        self.decoder
-            .decode_planes_impl(graph, planes, &mut self.scratch, out, |trace| {
-                cost.record(trace_work_cycles(trace), false);
-            });
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
+/// Decodes with union-find on behalf of an engine whose primary method
+/// cannot take `(graph, events)`, charging the work as one fallback.
+fn uf_fallback(graph: &DecodingGraph, events: &[NodeId], cost: &mut CostReport) -> Correction {
+    let mut uf = CostReport::default();
+    let correction = UnionFindDecoder::new().decode_costed(graph, events, &mut uf);
+    cost.record(uf.cycles, true);
+    correction
 }
 
 /// Largest event set the exact matcher enumerates; beyond it the
-/// backend falls back to union-find (the DP is over `2^k` subsets, and
-/// the underlying solver rejects `k > 20` outright).
+/// `exact` engine falls back to union-find (the DP is over `2^k`
+/// subsets, and the underlying solver rejects `k > 20` outright).
 pub const EXACT_MAX_EVENTS: usize = 16;
 
-/// [`ExactMatchingDecoder`] as a backend: exact minimum-weight matching
-/// for event sets up to [`EXACT_MAX_EVENTS`], union-find beyond. Cycles
-/// model the subset-DP enumeration (`k · 2^k` for `k` events); software,
-/// so 0 JJs.
-#[derive(Debug, Clone, Default)]
-pub struct ExactBackend {
-    exact: ExactMatchingDecoder,
-    fallback: UfBackend,
-    cost: CostReport,
-}
+/// The `exact` engine: exact minimum-weight matching for event sets up
+/// to [`EXACT_MAX_EVENTS`], union-find beyond. Cycles model the
+/// subset-DP enumeration (`k · 2^k` for `k` events); software, so 0 JJs.
+#[derive(Debug)]
+struct ExactOrUf;
 
-impl ExactBackend {
-    /// Creates the backend.
-    pub fn new() -> ExactBackend {
-        ExactBackend::default()
-    }
-}
-
-impl DecoderBackend for ExactBackend {
-    fn name(&self) -> &'static str {
-        "exact"
+impl Decoder for ExactOrUf {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        self.decode_costed(graph, events, &mut CostReport::default())
     }
 
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+    fn decode_costed(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        cost: &mut CostReport,
+    ) -> Correction {
         let k = events.len();
         if k > EXACT_MAX_EVENTS {
-            let correction = self.fallback.decode(graph, events);
-            let fb = self.fallback.cost();
-            self.fallback.reset_cost();
-            self.cost.record(fb.cycles, true);
-            return correction;
+            return uf_fallback(graph, events, cost);
         }
-        let correction = self.exact.decode(graph, events);
-        self.cost.record((k as u64) << k, false);
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
+        cost.record((k as u64) << k, false);
+        ExactMatchingDecoder::new().decode(graph, events)
     }
 }
 
-/// [`TableDecoder`] as a backend: a complete precomputed lookup memory
-/// per decoding-graph shape, built lazily on first sight of a feasible
-/// graph (single round, at most [`TableDecoder::MAX_CHECKS`] checks) and
-/// union-find fallback for everything else — the multi-round windows of
-/// the master's escalation service, or distances whose check count
-/// overflows the table (the runtime rejects those up front via
-/// `DecoderChoice` validation, so in practice the fallback only sees
-/// multi-round graphs).
+/// Table shape key: `(kind, rounds, num_checks)`.
+type Shape = (u8, usize, usize);
+
+/// The `table` engine: a complete precomputed lookup memory per
+/// decoding-graph shape, built lazily on first sight of a feasible graph
+/// (single round, at most [`TableDecoder::MAX_CHECKS`] checks) and
+/// union-find for everything else — the multi-round windows of the
+/// master's escalation service, or distances whose check count overflows
+/// the table (the runtime rejects those up front via `DecoderChoice`
+/// validation, so in practice the fallback only sees multi-round graphs).
 ///
 /// Cost model: a table decode is one read of a bank holding
 /// `2^checks × data_qubits` bits, priced at that bank's
 /// `read_latency_cycles`; the JJ footprint is the bank plus one
 /// channel of overhead.
-#[derive(Debug, Clone, Default)]
-pub struct TableBackend {
-    /// Tables keyed by graph shape `(kind, rounds, num_checks)` — every
-    /// tile of a run shares one lattice, so in practice this holds at
-    /// most one table per stabilizer kind.
-    tables: BTreeMap<(u8, usize, usize), TableDecoder>,
-    fallback: UfBackend,
-    cost: CostReport,
+#[derive(Debug, Default)]
+struct TableOrUf {
+    /// Tables keyed by graph shape. Every tile of a run shares one
+    /// lattice, so in practice this holds at most one table per
+    /// stabilizer kind; every clone of the engine's `Arc` shares it.
+    tables: Mutex<BTreeMap<Shape, Arc<TableDecoder>>>,
 }
 
-impl TableBackend {
-    /// Creates the backend with no tables built yet.
-    pub fn new() -> TableBackend {
-        TableBackend::default()
-    }
-
-    fn shape_key(graph: &DecodingGraph) -> (u8, usize, usize) {
+impl TableOrUf {
+    /// The table for `graph`'s shape, built on first request. A lock
+    /// poisoned by a panicking holder is recovered: the map only ever
+    /// holds fully built tables.
+    fn table(&self, graph: &DecodingGraph) -> Arc<TableDecoder> {
         let kind = match graph.kind() {
             StabKind::Z => 0u8,
             StabKind::X => 1u8,
         };
-        (kind, graph.rounds(), graph.num_checks())
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            tables
+                .entry((kind, graph.rounds(), graph.num_checks()))
+                .or_insert_with(|| Arc::new(TableDecoder::build(graph))),
+        )
     }
 }
 
 /// Distinct data qubits a graph's edges can fault — the per-entry width
 /// of a complete correction table over that graph.
-pub(crate) fn graph_data_qubits(graph: &DecodingGraph) -> usize {
+fn graph_data_qubits(graph: &DecodingGraph) -> usize {
     let mut qubits: Vec<usize> = graph
         .edges()
         .iter()
@@ -377,130 +221,25 @@ pub(crate) fn graph_data_qubits(graph: &DecodingGraph) -> usize {
     qubits.len()
 }
 
-impl DecoderBackend for TableBackend {
-    fn name(&self) -> &'static str {
-        "table"
+impl Decoder for TableOrUf {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        self.decode_costed(graph, events, &mut CostReport::default())
     }
 
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+    fn decode_costed(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        cost: &mut CostReport,
+    ) -> Correction {
         if graph.rounds() != 1 || graph.num_checks() > TableDecoder::MAX_CHECKS {
-            let correction = self.fallback.decode(graph, events);
-            let fb = self.fallback.cost();
-            self.fallback.reset_cost();
-            self.cost.record(fb.cycles, true);
-            return correction;
+            return uf_fallback(graph, events, cost);
         }
-        let table = self
-            .tables
-            .entry(Self::shape_key(graph))
-            .or_insert_with(|| TableDecoder::build(graph));
+        let table = self.table(graph);
         let bank_bits = table.storage_bits(graph_data_qubits(graph)) as u64;
-        let correction = table.decode(graph, events);
-        self.cost.record(read_latency_cycles(bank_bits), false);
-        self.cost.jj_count = self
-            .cost
-            .jj_count
-            .max(bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`LutDecoder`] as a backend: the MCE-local engine of the paper's
-/// two-level scheme, wrapping one prebuilt table for one single-round
-/// graph. [`DecoderBackend::try_decode`] escalates (returns `None`) on
-/// patterns outside the table — the decoder-pipeline contract — while
-/// the total [`DecoderBackend::decode`] entry point falls back to
-/// union-find so the backend stays usable anywhere.
-///
-/// Cost model: every lookup is one read of the LUT bank (entries ×
-/// one tabulated edge id of `read_latency_cycles`-deep memory); the
-/// bank plus a channel of overhead is the JJ footprint.
-#[derive(Debug, Clone)]
-pub struct LutBackend {
-    lut: LutDecoder,
-    /// LUT bank size in bits: one 32-bit word per entry (mirrors
-    /// `quest_core::jj::WORD_BITS`).
-    bank_bits: u64,
-    fallback: UfBackend,
-    cost: CostReport,
-}
-
-impl LutBackend {
-    /// Builds the LUT for `graph` (must be single-round; see
-    /// [`LutDecoder::new`]).
-    pub fn new(graph: &DecodingGraph) -> LutBackend {
-        let lut = LutDecoder::new(graph);
-        let bank_bits = lut.num_entries() as u64 * 32;
-        LutBackend {
-            lut,
-            bank_bits,
-            fallback: UfBackend::new(),
-            cost: CostReport::default(),
-        }
-    }
-
-    /// Entries in the wrapped lookup table.
-    pub fn num_entries(&self) -> usize {
-        self.lut.num_entries()
-    }
-
-    fn charge_lookup(&mut self, escalated: bool) {
-        self.cost.record(read_latency_cycles(self.bank_bits), false);
-        if escalated {
-            self.cost.fallback_decodes = self.cost.fallback_decodes.saturating_add(1);
-        }
-        self.cost.jj_count = self
-            .cost
-            .jj_count
-            .max(self.bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
-    }
-}
-
-impl DecoderBackend for LutBackend {
-    fn name(&self) -> &'static str {
-        "lut"
-    }
-
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
-        match self.try_decode(graph, events) {
-            Some(correction) => correction,
-            None => {
-                let correction = self.fallback.decode(graph, events);
-                self.cost.cycles = self.cost.cycles.saturating_add(self.fallback.cost().cycles);
-                self.fallback.reset_cost();
-                correction
-            }
-        }
-    }
-
-    fn try_decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Option<Correction> {
-        let correction = self.lut.try_correction(graph, events);
-        self.charge_lookup(correction.is_none());
-        correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
+        cost.record(read_latency_cycles(bank_bits), false);
+        cost.jj_count = cost.jj_count.max(bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL);
+        table.decode(graph, events)
     }
 }
 
@@ -509,23 +248,24 @@ impl DecoderBackend for LutBackend {
 /// to every decoding site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DecoderChoice {
-    /// Software union-find ([`UfBackend`]) — the default.
+    /// Software union-find ([`UnionFindDecoder`]) — the default.
     #[default]
     UnionFind,
-    /// Exact minimum-weight matching with union-find fallback
-    /// ([`ExactBackend`]).
+    /// Exact minimum-weight matching ([`ExactMatchingDecoder`]) up to
+    /// [`EXACT_MAX_EVENTS`] events, union-find beyond.
     Exact,
-    /// Complete lookup tables with union-find fallback
-    /// ([`TableBackend`]); only feasible up to distance 5.
+    /// Complete lookup tables ([`TableDecoder`]) built lazily per graph
+    /// shape, union-find for multi-round graphs; only feasible up to
+    /// distance 5.
     Table,
     /// Cycle-accurate pipelined hardware union-find
     /// ([`PipelinedUfDecoder`]), bit-identical corrections to
-    /// [`UfBackend`].
+    /// [`UnionFindDecoder`].
     PipelinedUf,
 }
 
 impl DecoderChoice {
-    /// Every selectable backend, in display order.
+    /// Every selectable engine, in display order.
     pub const ALL: [DecoderChoice; 4] = [
         DecoderChoice::UnionFind,
         DecoderChoice::Exact,
@@ -533,7 +273,8 @@ impl DecoderChoice {
         DecoderChoice::PipelinedUf,
     ];
 
-    /// The stable name ([`DecoderBackend::name`] of the built backend).
+    /// The stable machine-readable name (what `--decoder` parses and the
+    /// serve ledger reports).
     pub fn name(self) -> &'static str {
         match self {
             DecoderChoice::UnionFind => "union-find",
@@ -543,18 +284,18 @@ impl DecoderChoice {
         }
     }
 
-    /// Parses a backend name as printed by [`DecoderChoice::name`].
+    /// Parses an engine name as printed by [`DecoderChoice::name`].
     pub fn parse(s: &str) -> Option<DecoderChoice> {
         DecoderChoice::ALL.into_iter().find(|c| c.name() == s)
     }
 
-    /// Builds a fresh backend of this kind.
-    pub fn backend(self) -> Box<dyn DecoderBackend> {
+    /// Builds a fresh engine of this kind, shareable across threads.
+    pub fn decoder(self) -> Arc<dyn Decoder + Send + Sync> {
         match self {
-            DecoderChoice::UnionFind => Box::new(UfBackend::new()),
-            DecoderChoice::Exact => Box::new(ExactBackend::new()),
-            DecoderChoice::Table => Box::new(TableBackend::new()),
-            DecoderChoice::PipelinedUf => Box::new(PipelinedUfDecoder::new()),
+            DecoderChoice::UnionFind => Arc::new(UnionFindDecoder::new()),
+            DecoderChoice::Exact => Arc::new(ExactOrUf),
+            DecoderChoice::Table => Arc::new(TableOrUf::default()),
+            DecoderChoice::PipelinedUf => Arc::new(PipelinedUfDecoder::new()),
         }
     }
 }
@@ -568,6 +309,7 @@ impl fmt::Display for DecoderChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::batch::{decode_batch, BatchGraphs, DecodeJob};
     use crate::decoder::correction_explains_events;
     use crate::lattice::RotatedLattice;
     use rand::rngs::StdRng;
@@ -591,15 +333,16 @@ mod tests {
         for rounds in [1usize, 3] {
             let g = DecodingGraph::new(&lat, StabKind::Z, rounds);
             for choice in DecoderChoice::ALL {
-                let mut backend = choice.backend();
+                let decoder = choice.decoder();
+                let mut cost = CostReport::default();
                 for events in random_event_sets(&g, 12, 7 + rounds as u64) {
-                    let c = backend.decode(&g, &events);
+                    let c = decoder.decode_costed(&g, &events, &mut cost);
                     assert!(
                         correction_explains_events(&g, &c, &events),
                         "{choice} failed on rounds={rounds}, events={events:?}"
                     );
+                    assert_eq!(c, decoder.decode(&g, &events), "{choice}: costed != plain");
                 }
-                let cost = backend.cost();
                 assert!(cost.decodes + cost.fallback_decodes >= 12);
             }
         }
@@ -613,11 +356,12 @@ mod tests {
         for choice in DecoderChoice::ALL {
             // Same decodes, same accumulated cost, run to run.
             let run = |order: &[usize]| {
-                let mut backend = choice.backend();
+                let decoder = choice.decoder();
+                let mut cost = CostReport::default();
                 for &i in order {
-                    backend.decode(&g, &sets[i]);
+                    decoder.decode_costed(&g, &sets[i], &mut cost);
                 }
-                backend.cost()
+                cost
             };
             let forward: Vec<usize> = (0..sets.len()).collect();
             let reverse: Vec<usize> = (0..sets.len()).rev().collect();
@@ -627,21 +371,18 @@ mod tests {
                 run(&reverse),
                 "{choice}: cost depends on decode order"
             );
-            // Split-and-merge equals one accumulator (the decode-pool
+            // Split-and-merge equals one ledger (the decode-pool
             // aggregation pattern).
-            let mut whole = choice.backend();
-            for s in &sets {
-                whole.decode(&g, s);
-            }
             let mut merged = CostReport::default();
             for half in sets.chunks(7) {
-                let mut worker = choice.backend();
+                let decoder = choice.decoder();
+                let mut worker = CostReport::default();
                 for s in half {
-                    worker.decode(&g, s);
+                    decoder.decode_costed(&g, s, &mut worker);
                 }
-                merged.merge(&worker.cost());
+                merged.merge(&worker);
             }
-            assert_eq!(merged, whole.cost(), "{choice}: merge != sequential");
+            assert_eq!(merged, run(&forward), "{choice}: merge != sequential");
         }
     }
 
@@ -652,16 +393,21 @@ mod tests {
         let sets = random_event_sets(&g, 12, 11);
         let uf = UnionFindDecoder::new();
         let exact = ExactMatchingDecoder::new();
+        let mut cost = CostReport::default();
         for events in &sets {
             assert_eq!(
-                UfBackend::new().decode(&g, events),
+                DecoderChoice::UnionFind
+                    .decoder()
+                    .decode_costed(&g, events, &mut cost),
                 uf.decode(&g, events),
-                "UfBackend diverged from UnionFindDecoder"
+                "union-find choice diverged from UnionFindDecoder"
             );
             assert_eq!(
-                ExactBackend::new().decode(&g, events),
+                DecoderChoice::Exact
+                    .decoder()
+                    .decode_costed(&g, events, &mut cost),
                 exact.decode(&g, events),
-                "ExactBackend diverged from ExactMatchingDecoder"
+                "exact choice diverged from ExactMatchingDecoder"
             );
         }
     }
@@ -670,35 +416,17 @@ mod tests {
     fn table_backend_builds_once_and_reports_hardware() {
         let lat = RotatedLattice::new(3);
         let g = DecodingGraph::new(&lat, StabKind::Z, 1);
-        let mut backend = TableBackend::new();
-        backend.decode(&g, &[g.node(0, 1)]);
-        backend.decode(&g, &[]);
-        let cost = backend.cost();
+        let decoder = DecoderChoice::Table.decoder();
+        let mut cost = CostReport::default();
+        decoder.decode_costed(&g, &[g.node(0, 1)], &mut cost);
+        decoder.decode_costed(&g, &[], &mut cost);
         assert_eq!(cost.decodes, 2);
         assert_eq!(cost.fallback_decodes, 0);
         assert!(cost.jj_count > 0, "a lookup memory has a JJ footprint");
         // A multi-round graph routes through the union-find fallback.
         let g3 = DecodingGraph::new(&lat, StabKind::Z, 3);
-        backend.decode(&g3, &[g3.node(1, 1)]);
-        assert_eq!(backend.cost().fallback_decodes, 1);
-    }
-
-    #[test]
-    fn lut_backend_escalates_exactly_like_the_lut() {
-        let lat = RotatedLattice::new(3);
-        let g = DecodingGraph::new(&lat, StabKind::Z, 1);
-        let lut = LutDecoder::new(&g);
-        let mut backend = LutBackend::new(&g);
-        let sets = random_event_sets(&g, 16, 5);
-        for events in &sets {
-            let raw = lut.try_correction(&g, events);
-            let through = backend.try_decode(&g, events);
-            assert_eq!(raw, through, "events={events:?}");
-            // The total entry point must still explain everything.
-            let c = backend.decode(&g, events);
-            assert!(correction_explains_events(&g, &c, events));
-        }
-        assert!(backend.cost().jj_count > 0);
+        decoder.decode_costed(&g3, &[g3.node(1, 1)], &mut cost);
+        assert_eq!(cost.fallback_decodes, 1);
     }
 
     #[test]
@@ -711,25 +439,26 @@ mod tests {
             .choose_multiple(&mut rng, EXACT_MAX_EVENTS + 4)
             .copied()
             .collect();
-        let mut backend = ExactBackend::new();
-        let c = backend.decode(&g, &events);
+        let decoder = DecoderChoice::Exact.decoder();
+        let mut cost = CostReport::default();
+        let c = decoder.decode_costed(&g, &events, &mut cost);
         assert!(correction_explains_events(&g, &c, &events));
-        assert_eq!(backend.cost().fallback_decodes, 1);
-        assert_eq!(backend.cost().decodes, 0);
+        assert_eq!(c, decoder.decode(&g, &events), "costed != plain");
+        assert_eq!(cost.fallback_decodes, 1);
+        assert_eq!(cost.decodes, 0);
     }
 
     #[test]
     fn choice_round_trips_names() {
         for choice in DecoderChoice::ALL {
             assert_eq!(DecoderChoice::parse(choice.name()), Some(choice));
-            assert_eq!(choice.backend().name(), choice.name());
         }
         assert_eq!(DecoderChoice::parse("mwpm"), None);
         assert_eq!(DecoderChoice::default(), DecoderChoice::UnionFind);
     }
 
     #[test]
-    fn decode_batch_backend_matches_per_job_decodes() {
+    fn decode_batch_matches_per_job_decodes() {
         let lat = RotatedLattice::new(5);
         let graphs = BatchGraphs::new(&lat);
         let jobs = vec![
@@ -747,12 +476,16 @@ mod tests {
             },
         ];
         for choice in DecoderChoice::ALL {
-            let mut backend = choice.backend();
-            let batch = decode_batch_backend(backend.as_mut(), &graphs, &jobs);
+            let mut batch_cost = CostReport::default();
+            let batch = decode_batch(choice.decoder().as_ref(), &graphs, &jobs, &mut batch_cost);
+            let mut job_cost = CostReport::default();
             for (job, got) in jobs.iter().zip(&batch) {
-                let mut fresh = choice.backend();
-                assert_eq!(*got, fresh.decode(graphs.graph(job.kind), &job.events));
+                let fresh = choice.decoder();
+                let expected =
+                    fresh.decode_costed(graphs.graph(job.kind), &job.events, &mut job_cost);
+                assert_eq!(*got, expected, "{choice}: batch diverged for {job:?}");
             }
+            assert_eq!(batch_cost, job_cost, "{choice}: batch ledger diverged");
         }
     }
 }

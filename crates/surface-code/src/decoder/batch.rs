@@ -7,9 +7,10 @@
 //! [`DecodeJob`]s decoded against shared per-kind decoding graphs, with
 //! each job resolved exactly as the one-at-a-time path resolves it
 //! (single-round graph, same node numbering), so batching changes
-//! throughput but never corrections.
+//! throughput but never corrections. The caller owns the cost ledger,
+//! so the runtime's decode pool scopes one to each chunk it hands out.
 
-use super::{Correction, Decoder};
+use super::{Correction, CostReport, Decoder};
 use crate::graph::{DecodingGraph, NodeId};
 use crate::lattice::{RotatedLattice, StabKind};
 
@@ -52,15 +53,17 @@ impl BatchGraphs {
 }
 
 /// Decodes a batch of independent jobs, returning one correction per job
-/// in input order. Equivalent to calling `decoder.decode` per job on a
-/// fresh single-round graph of the job's kind.
-pub fn decode_batch<D: Decoder>(
+/// in input order and pricing each into `cost`. Equivalent to calling
+/// [`Decoder::decode_costed`] per job on a fresh single-round graph of
+/// the job's kind.
+pub fn decode_batch<D: Decoder + ?Sized>(
     decoder: &D,
     graphs: &BatchGraphs,
     jobs: &[DecodeJob],
+    cost: &mut CostReport,
 ) -> Vec<Correction> {
     jobs.iter()
-        .map(|job| decoder.decode(graphs.graph(job.kind), &job.events))
+        .map(|job| decoder.decode_costed(graphs.graph(job.kind), &job.events, cost))
         .collect()
 }
 
@@ -92,7 +95,7 @@ mod tests {
                 events: vec![],
             },
         ];
-        let batched = decode_batch(&uf, &graphs, &jobs);
+        let batched = decode_batch(&uf, &graphs, &jobs, &mut CostReport::default());
         assert_eq!(batched.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&batched) {
             let fresh = DecodingGraph::new(&lat, job.kind, 1);
@@ -105,7 +108,8 @@ mod tests {
     fn empty_batch_is_empty() {
         let lat = RotatedLattice::new(3);
         let graphs = BatchGraphs::new(&lat);
-        let out = decode_batch(&UnionFindDecoder::new(), &graphs, &[]);
+        let mut cost = CostReport::default();
+        let out = decode_batch(&UnionFindDecoder::new(), &graphs, &[], &mut cost);
         assert!(out.is_empty());
     }
 }

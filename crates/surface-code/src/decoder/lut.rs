@@ -11,8 +11,14 @@
 //! single measurement error (a temporal event pair) to its correction. The
 //! decoder succeeds only when the observed events can be *exactly* tiled by
 //! non-overlapping single-fault patterns; anything else is escalated.
+//!
+//! Escalation is why the LUT is not a [`Decoder`](super::Decoder): it
+//! may answer "not mine", which a total decoder cannot. Its modelled
+//! hardware cost comes from [`LutDecoder::lookup_cost`], which the MCE
+//! pipeline evaluates over its own lookup counters.
 
-use super::Correction;
+use super::backend::{read_latency_cycles, JJ_PER_BIT, JJ_PER_CHANNEL};
+use super::{Correction, CostReport};
 use crate::graph::{DecodingGraph, EdgeId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -108,6 +114,27 @@ impl LutDecoder {
             edges.push(self.table[chosen]);
         }
         Some(edges)
+    }
+
+    /// The modelled cost of `lookups` table reads, `misses` of which
+    /// escalated. Every lookup is one primary decode costing one read of
+    /// the LUT bank (one 32-bit word per entry, priced at the bank's
+    /// read latency); every miss adds one fallback count; the bank plus
+    /// one channel of overhead is the JJ footprint, reported once the
+    /// table has been read at all.
+    pub fn lookup_cost(&self, lookups: u64, misses: u64) -> CostReport {
+        if lookups == 0 {
+            return CostReport::default();
+        }
+        let bank_bits = self.entries as u64 * 32;
+        let read = read_latency_cycles(bank_bits);
+        CostReport {
+            decodes: lookups,
+            fallback_decodes: misses,
+            cycles: lookups.saturating_mul(read),
+            max_decode_cycles: read,
+            jj_count: bank_bits * JJ_PER_BIT + JJ_PER_CHANNEL,
+        }
     }
 
     /// Like [`LutDecoder::try_decode`] but returns a full [`Correction`].

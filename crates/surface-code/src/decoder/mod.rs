@@ -14,10 +14,10 @@
 //!   (exponential in the number of detection events), used as ground truth
 //!   in tests and small benchmarks.
 //!
-//! All of these are also available behind the pluggable
-//! [`DecoderBackend`] trait (see [`backend`]), which adds per-run
-//! selection ([`DecoderChoice`]), scratch ownership and
-//! [`CostReport`] cycle/JJ accounting — plus the cycle-accurate
+//! All of them implement the one [`Decoder`] trait. Its
+//! [`Decoder::decode_costed`] hook prices a decode into a [`CostReport`]
+//! the caller owns, and [`DecoderChoice`] selects and builds an engine
+//! per run (see [`backend`]) — including the cycle-accurate
 //! [`PipelinedUfDecoder`] hardware model of the Das et al.
 //! micro-architecture.
 
@@ -29,10 +29,7 @@ mod pipelined;
 mod table;
 mod union_find;
 
-pub use backend::{
-    decode_batch_backend, CostReport, DecoderBackend, DecoderChoice, ExactBackend, LutBackend,
-    TableBackend, UfBackend,
-};
+pub use backend::{CostReport, DecoderChoice};
 pub use batch::{decode_batch, BatchGraphs, DecodeJob};
 pub use exact::ExactMatchingDecoder;
 pub use lut::LutDecoder;
@@ -258,7 +255,10 @@ impl Default for CorrectionBatch {
 /// A decoder over the space-time decoding graph.
 ///
 /// `events` are the detection-event nodes (flipped syndrome records).
-pub trait Decoder {
+/// Decoders are read-only (`&self`), so one engine can be shared by
+/// many threads; any cost ledger lives with the caller (see
+/// [`Decoder::decode_costed`]).
+pub trait Decoder: std::fmt::Debug {
     /// Produces a correction whose induced syndrome matches `events`.
     ///
     /// # Panics
@@ -266,6 +266,23 @@ pub trait Decoder {
     /// Implementations may panic if `events` contains the boundary node or
     /// out-of-range ids.
     fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction;
+
+    /// [`Decoder::decode`], additionally pricing the decode into the
+    /// caller's `cost` ledger.
+    ///
+    /// Contract: the correction equals [`Decoder::decode`]'s, and what
+    /// is added to `cost` depends only on `(graph, events)` — so
+    /// per-worker ledgers folded with [`CostReport::merge`] in any order
+    /// equal one sequential ledger. The default prices nothing; engines
+    /// with a cost model override it.
+    fn decode_costed(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        _cost: &mut CostReport,
+    ) -> Correction {
+        self.decode(graph, events)
+    }
 
     /// Decodes many shots against one graph, returning one correction per
     /// event set in order. Semantically identical to mapping

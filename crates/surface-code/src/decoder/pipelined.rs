@@ -8,10 +8,10 @@
 //! a **correction** stage that emits the data-qubit flips. This module
 //! models that micro-architecture on top of the software
 //! [`UnionFindDecoder`]: every decode runs the *exact* software
-//! algorithm with tracing enabled, so the corrections are bit-identical
-//! to [`UfBackend`](super::backend::UfBackend) by construction, and the
-//! trace's work counters are then priced against the staged hardware
-//! model below.
+//! algorithm (traced when costed), so the corrections are bit-identical
+//! to [`UnionFindDecoder`] by construction, and
+//! [`Decoder::decode_costed`] then prices the trace's work counters
+//! against the staged hardware model below.
 //!
 //! # Cycle model
 //!
@@ -35,9 +35,9 @@
 //! pure functions of `(graph, events)`, so cycle counts are exactly
 //! reproducible run to run (asserted by the equivalence property tests).
 
-use super::backend::{read_latency_cycles, CostReport, DecoderBackend, JJ_PER_BIT, JJ_PER_CHANNEL};
+use super::backend::{read_latency_cycles, CostReport, JJ_PER_BIT, JJ_PER_CHANNEL};
 use super::union_find::{UfScratch, UfTrace, UnionFindDecoder};
-use super::Correction;
+use super::{Correction, Decoder};
 use crate::graph::{DecodingGraph, NodeId};
 
 /// Bits per node entry in the spanning-tree stage's node bank: a parent
@@ -55,20 +55,19 @@ pub const MERGE_CYCLES: u64 = 2;
 /// Depth of the decode pipeline (spanning-tree → DFS → correction).
 pub const PIPELINE_STAGES: u64 = 3;
 
-/// The pipelined hardware union-find decoder backend.
+/// The pipelined hardware union-find decoder model.
 ///
 /// Corrections are produced by the software union-find itself (traced),
 /// so they are pinned bit-identical to [`UnionFindDecoder`]; only the
-/// reported cost differs, following the module-level hardware model.
-#[derive(Debug, Clone, Default)]
+/// cost [`Decoder::decode_costed`] reports differs, following the
+/// module-level hardware model.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PipelinedUfDecoder {
-    decoder: UnionFindDecoder,
-    scratch: UfScratch,
-    cost: CostReport,
+    _private: (),
 }
 
 impl PipelinedUfDecoder {
-    /// Creates the backend with empty scratch (sized on first decode).
+    /// Creates the decoder.
     pub fn new() -> PipelinedUfDecoder {
         PipelinedUfDecoder::default()
     }
@@ -96,38 +95,29 @@ impl PipelinedUfDecoder {
     }
 }
 
-impl DecoderBackend for PipelinedUfDecoder {
-    fn name(&self) -> &'static str {
-        "pipelined-uf"
+impl Decoder for PipelinedUfDecoder {
+    fn decode(&self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+        UnionFindDecoder::new().decode(graph, events)
     }
 
-    fn decode(&mut self, graph: &DecodingGraph, events: &[NodeId]) -> Correction {
+    fn decode_costed(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        cost: &mut CostReport,
+    ) -> Correction {
         let mut trace = UfTrace::default();
-        let correction = self
-            .decoder
-            .decode_traced(graph, events, &mut self.scratch, &mut trace);
-        self.cost.record(Self::decode_cycles(graph, &trace), false);
-        self.cost.jj_count = self.cost.jj_count.max(Self::jj_count(graph));
+        let correction =
+            UnionFindDecoder::new().decode_traced(graph, events, &mut UfScratch::new(), &mut trace);
+        cost.record(Self::decode_cycles(graph, &trace), false);
+        cost.jj_count = cost.jj_count.max(Self::jj_count(graph));
         correction
-    }
-
-    fn cost(&self) -> CostReport {
-        self.cost
-    }
-
-    fn reset_cost(&mut self) {
-        self.cost = CostReport::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn DecoderBackend> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::Decoder;
     use crate::lattice::{RotatedLattice, StabKind};
     use proptest::prelude::*;
 
@@ -155,10 +145,10 @@ mod tests {
     #[test]
     fn empty_syndrome_costs_only_the_pipeline_fill() {
         let g = DecodingGraph::new(&RotatedLattice::new(3), StabKind::Z, 1);
-        let mut backend = PipelinedUfDecoder::new();
-        let c = backend.decode(&g, &[]);
+        let mut cost = CostReport::default();
+        let c = PipelinedUfDecoder::new().decode_costed(&g, &[], &mut cost);
         assert!(c.edges.is_empty());
-        assert_eq!(backend.cost().cycles, PIPELINE_STAGES);
+        assert_eq!(cost.cycles, PIPELINE_STAGES);
     }
 
     /// Distances the equivalence property sweeps (ISSUE 7 satellite:
@@ -189,20 +179,20 @@ mod tests {
             events.dedup();
 
             let software = UnionFindDecoder::new().decode(&g, &events);
-            let mut first = PipelinedUfDecoder::new();
-            let hardware = first.decode(&g, &events);
+            let mut first = CostReport::default();
+            let hardware = PipelinedUfDecoder::new().decode_costed(&g, &events, &mut first);
             prop_assert_eq!(&software, &hardware, "corrections diverged at d={}", d);
 
-            let mut second = PipelinedUfDecoder::new();
-            second.decode(&g, &events);
+            let mut second = CostReport::default();
+            PipelinedUfDecoder::new().decode_costed(&g, &events, &mut second);
             prop_assert_eq!(
-                first.cost(),
-                second.cost(),
+                first,
+                second,
                 "cycle counts nondeterministic at d={}",
                 d
             );
-            prop_assert!(first.cost().cycles >= PIPELINE_STAGES);
-            prop_assert_eq!(first.cost().jj_count, PipelinedUfDecoder::jj_count(&g));
+            prop_assert!(first.cycles >= PIPELINE_STAGES);
+            prop_assert_eq!(first.jj_count, PipelinedUfDecoder::jj_count(&g));
         }
     }
 }

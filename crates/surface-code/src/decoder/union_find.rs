@@ -15,7 +15,8 @@
 //! working vectors once instead of once per shot; [`Decoder::decode`]
 //! remains the convenient single-shot entry point.
 
-use super::{Correction, CorrectionBatch, Decoder, EventPlanes};
+use super::backend::trace_work_cycles;
+use super::{Correction, CorrectionBatch, CostReport, Decoder, EventPlanes};
 use crate::graph::{DecodingGraph, EdgeId, Fault, NodeId};
 use std::collections::VecDeque;
 
@@ -24,7 +25,7 @@ use std::collections::VecDeque;
 ///
 /// Every counter is a pure function of `(graph, events)` — the decode
 /// itself consumes no randomness and iterates in fixed node/edge order —
-/// so hardware cost models built on a trace (the pipelined-UF backend)
+/// so hardware cost models built on a trace (the pipelined-UF engine)
 /// inherit the decoder's determinism. The counters mirror the stages of
 /// the Das et al. pipelined micro-architecture: growth work feeds the
 /// spanning-tree stage, forest traversal the DFS stage, and peeled edges
@@ -227,7 +228,7 @@ impl UnionFindDecoder {
     /// [`UnionFindDecoder::decode_with`], additionally accumulating the
     /// decode's deterministic work counts into `trace`. The correction is
     /// bit-identical to the untraced path (which delegates here with a
-    /// discarded trace); the counters exist so hardware backends can put
+    /// discarded trace); the counters exist so hardware engines can put
     /// cycle prices on the exact work this decode performed.
     ///
     /// # Panics
@@ -516,21 +517,19 @@ impl UnionFindDecoder {
 
     /// Plane-batched decode: transposes the node-major event planes into
     /// per-shot event lists (CSR layout, one pass), then runs the core
-    /// decode shot by shot with fully reused working memory. `on_shot`
-    /// receives each shot's [`UfTrace`] so backends can price the work.
+    /// decode shot by shot with fully reused working memory.
     ///
     /// The output is bit-identical to scattering the planes and calling
     /// [`Decoder::decode_many`]: the CSR fill visits nodes in ascending
     /// order, so each shot's events arrive sorted exactly as the sparse
     /// path produces them, and the XOR-fold below emits flips in the same
     /// ascending order as [`Correction::from_edges`]'s `BTreeSet`.
-    pub(crate) fn decode_planes_impl(
+    fn decode_planes_impl(
         &self,
         graph: &DecodingGraph,
         planes: &EventPlanes<'_>,
         scratch: &mut UfScratch,
         out: &mut CorrectionBatch,
-        mut on_shot: impl FnMut(&UfTrace),
     ) {
         let shots = planes.shots();
         out.clear();
@@ -575,9 +574,7 @@ impl UnionFindDecoder {
         let mut touched: Vec<usize> = Vec::new();
         for shot in 0..shots {
             let events = &events_flat[offsets[shot]..offsets[shot + 1]];
-            let mut trace = UfTrace::default();
-            self.decode_edges_prepared(graph, events, scratch, &mut trace, &mut edges);
-            on_shot(&trace);
+            self.decode_edges_prepared(graph, events, scratch, &mut UfTrace::default(), &mut edges);
 
             // XOR-fold data faults without a per-shot set: mark parity in a
             // reusable bool table, then emit odd-parity qubits ascending.
@@ -651,6 +648,20 @@ impl Decoder for UnionFindDecoder {
         self.decode_with(graph, events, &mut UfScratch::new())
     }
 
+    /// Prices the decode with the flat trace-work model: one cycle per
+    /// unit of traced work, 0 JJs (a software engine).
+    fn decode_costed(
+        &self,
+        graph: &DecodingGraph,
+        events: &[NodeId],
+        cost: &mut CostReport,
+    ) -> Correction {
+        let mut trace = UfTrace::default();
+        let correction = self.decode_traced(graph, events, &mut UfScratch::new(), &mut trace);
+        cost.record(trace_work_cycles(&trace), false);
+        correction
+    }
+
     fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
         let mut scratch = UfScratch::new();
         event_sets
@@ -666,7 +677,7 @@ impl Decoder for UnionFindDecoder {
         out: &mut CorrectionBatch,
     ) {
         let mut scratch = UfScratch::new();
-        self.decode_planes_impl(graph, planes, &mut scratch, out, |_| {});
+        self.decode_planes_impl(graph, planes, &mut scratch, out);
     }
 }
 
