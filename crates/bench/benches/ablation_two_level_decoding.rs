@@ -7,7 +7,7 @@
 //! eventful rounds decode locally.
 
 use quest_bench::{header, row};
-use quest_core::{DeliveryMode, QuestSystem};
+use quest_core::MultiTileSystem;
 use quest_isa::LogicalProgram;
 use quest_stabilizer::{SeedableRng, StdRng};
 
@@ -33,14 +33,8 @@ fn main() {
         (1e-2, 5), // high enough that multi-error rounds escalate
     ] {
         let cycles = 400u64;
-        let mut sys = QuestSystem::new(d, p).expect("valid parameters");
-        let run = sys.run_memory_workload(
-            cycles,
-            &LogicalProgram::new(),
-            0,
-            DeliveryMode::QuestMce,
-            &mut rng,
-        );
+        let mut sys = MultiTileSystem::new(d, 1, p).expect("valid parameters");
+        let run = sys.run_memory_workload(cycles, &LogicalProgram::new(), 0, &mut rng);
         let eventful = run.local_decodes + run.escalations;
         let share = if eventful == 0 {
             1.0

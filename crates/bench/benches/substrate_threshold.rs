@@ -12,7 +12,7 @@
 
 use quest_bench::{header, row};
 use quest_stabilizer::{SeedableRng, StdRng};
-use quest_surface::{ThresholdSweep, UnionFindDecoder};
+use quest_surface::{SweepConfig, ThresholdSweep, UnionFindDecoder};
 
 fn main() {
     header(
@@ -23,13 +23,16 @@ fn main() {
     let distances = [3usize, 5, 7];
     let rates = [2e-3, 5e-3, 1e-2, 2e-2, 5e-2];
     let shots = 20_000;
-    let sweep = ThresholdSweep::run_batch(
+    let sweep = ThresholdSweep::run_batch_configured(
         &distances,
         &rates,
         shots,
         &UnionFindDecoder::new(),
         0xBEEF,
-        4,
+        &SweepConfig {
+            workers: 4,
+            ..SweepConfig::default()
+        },
     );
 
     let mut head = vec!["p \\ d".to_string()];

@@ -3,10 +3,9 @@
 //!
 //! [`DeliveryMode`] selects which bytes cross the global bus for the same
 //! logical workload; [`DeliveryEngine`] applies that policy per tile. The
-//! single-tile [`QuestSystem`](crate::QuestSystem), the multi-tile
-//! reference ([`MultiTileSystem`](crate::MultiTileSystem)) and the
-//! concurrent `quest-runtime` shards all account instruction delivery
-//! through this module, so the three execution paths cannot drift apart.
+//! single-threaded [`MultiTileSystem`](crate::MultiTileSystem) and the
+//! concurrent `quest-runtime` shards both account instruction delivery
+//! through this module, so the two execution paths cannot drift apart.
 //!
 //! The engine splits each operation into two halves that the concurrent
 //! runtime performs on different threads:
@@ -16,7 +15,7 @@
 //! * **local execution** — instruction-pipeline delivery, cache fills and
 //!   replays on an [`Mce`] (`*_local` methods; the shard's side).
 //!
-//! The single-threaded systems call the combined methods, which perform
+//! The single-threaded system calls the combined methods, which perform
 //! both halves back to back. Totals are identical either way.
 
 use crate::instruction_pipeline::traffic_class;

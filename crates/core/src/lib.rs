@@ -12,9 +12,10 @@
 //! The crate contains both:
 //!
 //! * **functional simulation** — [`Mce`], [`MasterController`] and
-//!   [`QuestSystem`] actually drive a noisy, stabilizer-simulated
-//!   surface-code tile through syndrome extraction, two-level decoding and
-//!   logical readout, with every global-bus byte accounted;
+//!   [`MultiTileSystem`] actually drive noisy, stabilizer-simulated
+//!   surface-code tiles (one or many) through syndrome extraction,
+//!   two-level decoding and logical readout, with every global-bus byte
+//!   accounted;
 //! * **microarchitecture models** — [`microcode`], [`jj`] and
 //!   [`throughput`] reproduce the capacity/bandwidth trade-offs of the
 //!   paper's Figures 10–11 & 16 and Table 2.
@@ -22,19 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use quest_core::{DeliveryMode, QuestSystem};
+//! use quest_core::MultiTileSystem;
 //! use quest_isa::LogicalProgram;
 //! use quest_stabilizer::{SeedableRng, StdRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let mut system = QuestSystem::new(3, 1e-3)?;
-//! let run = system.run_memory_workload(
-//!     20,
-//!     &LogicalProgram::new(),
-//!     0,
-//!     DeliveryMode::QuestMce,
-//!     &mut rng,
-//! );
+//! // One d=3 tile, delivering in `DeliveryMode::QuestMce`.
+//! let mut system = MultiTileSystem::new(3, 1, 1e-3)?;
+//! let run = system.run_memory_workload(20, &LogicalProgram::new(), 0, &mut rng);
 //! assert_eq!(run.qecc_cycles, 20);
 //! assert!(run.logical_ok());
 //! # Ok::<(), quest_core::BuildError>(())
@@ -65,7 +61,6 @@ pub mod primeline;
 pub mod program_gen;
 pub mod report;
 pub mod serve;
-pub mod system;
 pub mod tech;
 pub mod throughput;
 pub mod tile;
@@ -87,13 +82,12 @@ pub use mask::MaskTable;
 pub use master::{MasterController, MasterStats};
 pub use mce::{Mce, Readout};
 pub use microcode::{MicrocodeDesign, QeccMicrocode};
-pub use multi_tile::{LogicalBasis, MultiTileSystem};
+pub use multi_tile::{LogicalBasis, MultiTileSystem, MCE_IBUF_BYTES};
 pub use network::{Network, Packet, PacketKind};
 pub use primeline::PrimelineResources;
 pub use quest_surface::decoder::{CostReport, DecoderChoice};
 pub use report::{decode_totals, RunReport};
 pub use serve::{JobId, LatencySummary, ServeReport, TenantId, TenantServeStats};
-pub use system::{QuestSystem, MCE_IBUF_BYTES};
 pub use tech::TechnologyParams;
 pub use throughput::{optimal_config, table2, Table2Row};
 pub use timing::SlotTiming;

@@ -1,12 +1,11 @@
 //! Shared tile-level operations.
 //!
-//! [`QuestSystem`](crate::QuestSystem) (one tile),
 //! [`MultiTileSystem`](crate::MultiTileSystem) (an MCE array over one
-//! substrate) and the `quest-runtime` shard workers all drive tiles
-//! through the same sequence — noise layer, microcode QECC cycle,
-//! escalation service, transversal logical gates, destructive readout.
-//! This module is that single code path, so the concurrent runtime and
-//! the single-threaded reference systems cannot drift apart.
+//! substrate, one tile or many) and the `quest-runtime` shard workers
+//! both drive tiles through the same sequence — noise layer, microcode
+//! QECC cycle, escalation service, transversal logical gates,
+//! destructive readout. This module is that single code path, so the
+//! concurrent runtime and the single-threaded system cannot drift apart.
 //!
 //! Every helper that consumes randomness takes the caller's `&mut R` and
 //! draws in a fixed order (noise sweep over data qubits, then the

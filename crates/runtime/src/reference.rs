@@ -11,9 +11,8 @@
 
 use crate::error::RuntimeError;
 use crate::spec::{WorkloadOp, WorkloadSpec};
-use quest_core::fault::RecoveryStats;
 use quest_core::tile::tile_seed;
-use quest_core::{decode_totals, MultiTileSystem, RunReport};
+use quest_core::{MultiTileSystem, RunReport};
 use quest_stabilizer::{SeedableRng, StdRng};
 
 /// Executes the spec single-threaded, producing the same unified
@@ -58,9 +57,7 @@ pub fn run_reference(spec: &WorkloadSpec) -> Result<RunReport, RuntimeError> {
                 qecc_cycles += n;
             }
             WorkloadOp::Cnot { control, target } => {
-                // The transversal CNOT consumes no randomness; any
-                // stream works.
-                sys.transversal_cnot(control, target, &mut rngs[control])?;
+                sys.transversal_cnot(control, target)?;
             }
             WorkloadOp::Logical { tile, instr, class } => {
                 sys.dispatch_logical(tile, instr, class);
@@ -77,16 +74,5 @@ pub fn run_reference(spec: &WorkloadSpec) -> Result<RunReport, RuntimeError> {
             }
         }
     }
-    let (local_decodes, escalations) = decode_totals(sys.mces());
-    Ok(RunReport {
-        delivery: spec.delivery,
-        outcomes,
-        bus: *sys.master().bus(),
-        qecc_cycles,
-        local_decodes,
-        escalations,
-        master: sys.master().stats(),
-        decode_cost: sys.master().decoder_cost(),
-        recovery: RecoveryStats::default(),
-    })
+    Ok(sys.report(outcomes, qecc_cycles))
 }

@@ -339,17 +339,17 @@ impl WorkloadSpec {
         })
     }
 
-    /// A delivery-mode memory workload mirroring
-    /// [`QuestSystem::run_memory_workload`](quest_core::QuestSystem::run_memory_workload)
-    /// on every tile: the program's non-distillation instructions are
+    /// A delivery-mode memory workload in the op order of
+    /// [`MultiTileSystem::run_memory_workload`](quest_core::MultiTileSystem::run_memory_workload):
+    /// the program's non-distillation instructions are
     /// delivered per tile, its distillation-class instructions form the
     /// shared kernel replayed `replays` times per tile, then `cycles`
     /// noisy rounds, one sync token per tile, and readout of every tile.
     ///
-    /// With `tiles = 1` this reproduces the single-tile system's run —
-    /// bus ledger, decode counters and outcome — under every
-    /// [`DeliveryMode`]; sharded, it runs the same Figure-14 experiment
-    /// concurrently.
+    /// With `tiles = 1` its reference run equals that method's run on a
+    /// one-tile system driven by the tile-0 stream — bus ledger, decode
+    /// counters and outcome — under every [`DeliveryMode`]; sharded, it
+    /// runs the same Figure-14 experiment concurrently.
     #[allow(clippy::too_many_arguments)]
     pub fn delivery_memory(
         distance: usize,

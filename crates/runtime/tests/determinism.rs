@@ -2,11 +2,11 @@
 //! a bit-identical unified [`RunReport`] — logical outcomes, per-class
 //! bus ledger, decode counters, master stats — at shard counts 1, 2 and
 //! 4, all matching the single-threaded `MultiTileSystem` reference; and
-//! with one tile, the unified engine reproduces `QuestSystem`'s run
-//! exactly in every delivery mode.
+//! `MultiTileSystem::run_memory_workload` reproduces the reference run of
+//! the same delivery workload exactly in every delivery mode.
 
 use quest_core::tile::tile_seed;
-use quest_core::{DeliveryMode, QuestSystem, Traffic};
+use quest_core::{DeliveryMode, MultiTileSystem, Traffic};
 use quest_isa::{InstrClass, LogicalInstr, LogicalProgram, LogicalQubit};
 use quest_runtime::{
     run_reference, DecoderChoice, Runtime, RuntimeReport, WorkloadSpec, TABLE_DECODER_MAX_DISTANCE,
@@ -82,27 +82,55 @@ fn delivery_workloads_match_reference_at_1_2_4_shards() {
 }
 
 #[test]
-fn unified_engine_reproduces_quest_system_with_one_tile() {
-    // Delivery-mode parity (tentpole acceptance): the tiles = 1 unified
-    // engine reproduces the single-tile `QuestSystem::run_memory_workload`
-    // result — bus bytes per class, qecc cycles, logical outcome, decode
-    // counters — for all three delivery modes, through both the reference
-    // executor and the sharded runtime.
+fn unified_engine_reproduces_run_memory_workload_with_one_tile() {
+    // Delivery-mode parity: the tiles = 1 unified engine reproduces
+    // `MultiTileSystem::run_memory_workload` on one tile — bus bytes per
+    // class, qecc cycles, logical outcome, decode counters — for all
+    // three delivery modes, through both the reference executor and the
+    // sharded runtime.
     let program = distillation_program();
     let (cycles, replays, seed) = (40, 30, 21);
     for mode in DeliveryMode::ALL {
-        let mut single = QuestSystem::new(3, 2e-3).unwrap();
+        let mut single = MultiTileSystem::with_delivery(3, 1, 2e-3, mode).unwrap();
         // The runtime seeds tile 0's stream via tile_seed; drive the
         // single-tile system with the identical stream.
         let mut rng = StdRng::seed_from_u64(tile_seed(seed, 0));
-        let expected = single.run_memory_workload(cycles, &program, replays, mode, &mut rng);
+        let expected = single.run_memory_workload(cycles, &program, replays, &mut rng);
 
         let spec =
             WorkloadSpec::delivery_memory(3, 1, 1, 2e-3, seed, cycles, &program, replays, mode);
         let reference = run_reference(&spec).unwrap();
-        assert_eq!(reference, expected, "{mode:?}: reference != QuestSystem");
+        assert_eq!(
+            reference, expected,
+            "{mode:?}: reference != run_memory_workload"
+        );
         let runtime = Runtime::new().run(&spec).unwrap();
-        assert_eq!(runtime.report, expected, "{mode:?}: runtime != QuestSystem");
+        assert_eq!(
+            runtime.report, expected,
+            "{mode:?}: runtime != run_memory_workload"
+        );
+    }
+}
+
+#[test]
+fn multi_tile_memory_workload_matches_reference_in_every_mode() {
+    // Three noiseless tiles: `run_memory_workload` follows
+    // `delivery_memory`'s op order on every tile, so its whole report —
+    // per-class bus ledger, cycles, outcomes, decode counters, master
+    // stats — equals the reference run of the same spec.
+    let program = distillation_program();
+    let (cycles, replays, seed) = (12, 7, 5);
+    for mode in DeliveryMode::ALL {
+        let mut sys = MultiTileSystem::with_delivery(3, 3, 0.0, mode).unwrap();
+        let run =
+            sys.run_memory_workload(cycles, &program, replays, &mut StdRng::seed_from_u64(seed));
+        let spec =
+            WorkloadSpec::delivery_memory(3, 3, 2, 0.0, seed, cycles, &program, replays, mode);
+        assert_eq!(
+            run,
+            run_reference(&spec).unwrap(),
+            "{mode:?}: run_memory_workload != reference"
+        );
     }
 }
 

@@ -11,7 +11,6 @@ use crate::decoder::Decoder;
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
 use crate::sampler::{EarlyExit, FrameSampler, SamplerConfig};
 use quest_stabilizer::frame::{block_seed, LaneWidth};
-use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -61,67 +60,21 @@ pub struct ThresholdSweep {
 
 impl ThresholdSweep {
     /// Runs a code-capacity sweep over `distances` × `error_rates` with
-    /// `shots` shots per point, using `rounds = d` noisy rounds.
-    pub fn run<D: Decoder, R: Rng + ?Sized>(
-        distances: &[usize],
-        error_rates: &[f64],
-        shots: usize,
-        decoder: &D,
-        rng: &mut R,
-    ) -> ThresholdSweep {
-        let mut points = Vec::new();
-        for &d in distances {
-            let exp = MemoryExperiment::new(d, d, MemoryBasis::Z);
-            for &p in error_rates {
-                let noise = MemoryNoise::code_capacity(p);
-                let rate = exp.logical_error_rate(&noise, decoder, shots, rng);
-                points.push(ThresholdPoint {
-                    distance: d,
-                    p,
-                    logical_rate: rate,
-                    shots,
-                });
-            }
-        }
-        ThresholdSweep { points }
-    }
-
-    /// Runs a code-capacity sweep on the bit-parallel frame fast path
-    /// (see [`crate::FrameSampler`]), optionally fanning grid points out
-    /// over `workers` OS threads with `std::thread::scope` — no thread
-    /// pool, no extra dependencies, mirroring the runtime's sharding
-    /// style.
+    /// `shots` shots per point and `rounds = d` noisy rounds, on the
+    /// bit-parallel frame fast path (see [`crate::FrameSampler`]),
+    /// fanning grid points out over `cfg.workers` OS threads with
+    /// `std::thread::scope` — no thread pool, no extra dependencies,
+    /// mirroring the runtime's sharding style.
     ///
     /// Deterministic by construction: every grid point draws from its own
     /// RNG stream derived from `(seed, canonical point index)`, work is
     /// claimed from an atomic counter, and results are written into their
-    /// canonical `(distance, p)` slot — so the output is bit-identical
-    /// for any `workers ≥ 1` and equals the single-threaded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn run_batch<D: Decoder + Sync>(
-        distances: &[usize],
-        error_rates: &[f64],
-        shots: usize,
-        decoder: &D,
-        seed: u64,
-        workers: usize,
-    ) -> ThresholdSweep {
-        let cfg = SweepConfig {
-            workers,
-            ..SweepConfig::default()
-        };
-        ThresholdSweep::run_batch_configured(distances, error_rates, shots, decoder, seed, &cfg)
-    }
-
-    /// [`ThresholdSweep::run_batch`] with explicit lane-width and
-    /// early-exit knobs. The sweep stays a pure function of
-    /// `(grid, shots, seed, early_exit)`: lane width and worker count
-    /// never change any point, and the early-exit decision is evaluated
-    /// per point from deterministic tallies at fixed milestones — so an
-    /// early-exited sweep equals the full sweep truncated per point.
+    /// canonical `(distance, p)` slot. The sweep is therefore a pure
+    /// function of `(grid, shots, seed, early_exit)`: lane width and
+    /// worker count never change any point, and the early-exit decision
+    /// is evaluated per point from deterministic tallies at fixed
+    /// milestones — so an early-exited sweep equals the full sweep
+    /// truncated per point.
     ///
     /// # Panics
     ///
@@ -231,19 +184,21 @@ impl ThresholdSweep {
 mod tests {
     use super::*;
     use crate::decoder::UnionFindDecoder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    fn sweep(distances: &[usize], error_rates: &[f64], shots: usize, seed: u64) -> ThresholdSweep {
+        ThresholdSweep::run_batch_configured(
+            distances,
+            error_rates,
+            shots,
+            &UnionFindDecoder::new(),
+            seed,
+            &SweepConfig::default(),
+        )
+    }
 
     #[test]
     fn sweep_shapes_are_complete() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let sweep = ThresholdSweep::run(
-            &[3, 5],
-            &[5e-3, 2e-2],
-            40,
-            &UnionFindDecoder::new(),
-            &mut rng,
-        );
+        let sweep = sweep(&[3, 5], &[5e-3, 2e-2], 40, 8);
         assert_eq!(sweep.points.len(), 4);
         assert_eq!(sweep.series(3).len(), 2);
         assert_eq!(sweep.series(5).len(), 2);
@@ -251,9 +206,7 @@ mod tests {
 
     #[test]
     fn logical_rate_increases_with_p() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let sweep =
-            ThresholdSweep::run(&[3], &[2e-3, 5e-2], 300, &UnionFindDecoder::new(), &mut rng);
+        let sweep = sweep(&[3], &[2e-3, 5e-2], 300, 9);
         let s = sweep.series(3);
         assert!(
             s[0].logical_rate <= s[1].logical_rate,
@@ -265,8 +218,7 @@ mod tests {
 
     #[test]
     fn d5_beats_d3_well_below_threshold() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let sweep = ThresholdSweep::run(&[3, 5], &[4e-3], 400, &UnionFindDecoder::new(), &mut rng);
+        let sweep = sweep(&[3, 5], &[4e-3], 400, 10);
         let crossing = sweep.crossing_below(3, 5);
         assert_eq!(crossing, Some(4e-3), "d=5 must win at p=4e-3");
     }

@@ -134,18 +134,25 @@ fn run_batch_is_invariant_under_batch_size() {
     let sampler = FrameSampler::new(&exp);
     let noise = MemoryNoise::phenomenological(0.02);
     let uf = UnionFindDecoder::new();
+    let run = |seed: u64, chunk_shots: usize| {
+        let cfg = SamplerConfig {
+            chunk_shots,
+            ..SamplerConfig::default()
+        };
+        sampler.run_batch_configured(&noise, &uf, 1000, seed, &cfg)
+    };
     // 1000 shots spans multiple 64-chunks and 256-chunks with a ragged
     // tail in both splits.
-    let small = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 64);
-    let large = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 256);
-    let whole = sampler.run_batch_chunked(&noise, &uf, 1000, 42, 1000);
+    let small = run(42, 64);
+    let large = run(42, 256);
+    let whole = run(42, 1000);
     assert_eq!(small, large, "chunk 64 vs 256 must be bit-identical");
     assert_eq!(
         small, whole,
         "chunked vs single-batch must be bit-identical"
     );
     // And a different seed must actually change the sample.
-    let other = sampler.run_batch_chunked(&noise, &uf, 1000, 43, 256);
+    let other = run(43, 256);
     assert_ne!(
         small.detection_events, other.detection_events,
         "different seeds should differ"
@@ -157,8 +164,15 @@ fn threshold_run_batch_is_invariant_under_worker_count() {
     let uf = UnionFindDecoder::new();
     let distances = [3usize, 5];
     let rates = [5e-3, 2e-2, 5e-2];
-    let one = ThresholdSweep::run_batch(&distances, &rates, 1500, &uf, 0xBEEF, 1);
-    let four = ThresholdSweep::run_batch(&distances, &rates, 1500, &uf, 0xBEEF, 4);
+    let sweep = |workers: usize| {
+        let cfg = SweepConfig {
+            workers,
+            ..SweepConfig::default()
+        };
+        ThresholdSweep::run_batch_configured(&distances, &rates, 1500, &uf, 0xBEEF, &cfg)
+    };
+    let one = sweep(1);
+    let four = sweep(4);
     assert_eq!(one, four, "worker count must not change the sweep");
     assert_eq!(one.points.len(), distances.len() * rates.len());
     // Canonical (distance, p) order regardless of completion order.
@@ -230,7 +244,14 @@ fn threshold_sweep_is_invariant_under_width_and_workers() {
     let uf = UnionFindDecoder::new();
     let distances = [3usize, 5];
     let rates = [5e-3, 5e-2];
-    let reference = ThresholdSweep::run_batch(&distances, &rates, 1024, &uf, 0xFEED, 1);
+    let reference = ThresholdSweep::run_batch_configured(
+        &distances,
+        &rates,
+        1024,
+        &uf,
+        0xFEED,
+        &SweepConfig::default(),
+    );
     for width in [LaneWidth::X1, LaneWidth::X4] {
         for workers in [1usize, 3] {
             let cfg = SweepConfig {
@@ -303,7 +324,14 @@ fn early_exit_preserves_crossing_verdicts_at_pinned_point() {
     let uf = UnionFindDecoder::new();
     let distances = [3usize, 5];
     let rates = [4e-3, 5e-2];
-    let full = ThresholdSweep::run_batch(&distances, &rates, 4096, &uf, 0xC0DE, 1);
+    let full = ThresholdSweep::run_batch_configured(
+        &distances,
+        &rates,
+        4096,
+        &uf,
+        0xC0DE,
+        &SweepConfig::default(),
+    );
     let cfg = SweepConfig {
         early_exit: Some(EarlyExit::default()),
         ..SweepConfig::default()
@@ -337,7 +365,9 @@ fn batch_and_legacy_sample_the_same_distribution() {
     let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
     let noise = MemoryNoise::code_capacity(0.05);
     let uf = UnionFindDecoder::new();
-    let batch = exp.logical_error_rate_batch(&noise, &uf, 8000, 3);
+    let batch = FrameSampler::new(&exp)
+        .run_batch(&noise, &uf, 8000, 3)
+        .logical_error_rate();
     let mut rng = StdRng::seed_from_u64(3);
     let legacy = exp.logical_error_rate(&noise, &uf, 2000, &mut rng);
     assert!(

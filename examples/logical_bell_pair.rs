@@ -28,7 +28,7 @@ fn main() {
         sys.prep_logical(0, LogicalBasis::Plus, &mut rng);
         sys.prep_logical(1, LogicalBasis::Zero, &mut rng);
         sys.run_noisy_cycle(&mut rng); // project both tiles
-        sys.transversal_cnot(0, 1, &mut rng)
+        sys.transversal_cnot(0, 1)
             .expect("both tiles projected by the cycle above");
         for _ in 0..5 {
             sys.run_noisy_cycle(&mut rng); // hold the pair under QECC

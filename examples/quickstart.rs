@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use quest::arch::{DeliveryMode, QuestSystem};
+use quest::arch::{DeliveryMode, MultiTileSystem};
 use quest::estimate::kernels::workload_with_kernel;
 use quest::estimate::Workload;
 use quest::stabilizer::{SeedableRng, StdRng};
@@ -29,8 +29,9 @@ fn main() {
         DeliveryMode::QuestMceCache,
     ] {
         let mut rng = StdRng::seed_from_u64(42);
-        let mut system = QuestSystem::new(distance, p).expect("valid parameters");
-        let run = system.run_memory_workload(cycles, &program, 40, mode, &mut rng);
+        let mut system =
+            MultiTileSystem::with_delivery(distance, 1, p, mode).expect("valid parameters");
+        let run = system.run_memory_workload(cycles, &program, 40, &mut rng);
         println!("{mode:?}");
         println!("  bus bytes        : {}", run.bus_bytes());
         println!("  logical intact   : {}", run.logical_ok());

@@ -30,7 +30,7 @@
 #![forbid(unsafe_code)]
 
 use quest::arch::throughput::table2;
-use quest::arch::{DeliveryMode, QuestSystem, TechnologyParams};
+use quest::arch::{DeliveryMode, MultiTileSystem, TechnologyParams};
 use quest::estimate::kernels::workload_with_kernel;
 use quest::estimate::{analyze_suite, ShorEstimate, Workload};
 use quest::runtime::{
@@ -176,8 +176,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         DeliveryMode::QuestMceCache,
     ] {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut sys = QuestSystem::new(d, p).map_err(|e| e.to_string())?;
-        let run = sys.run_memory_workload(cycles, &program, 20, mode, &mut rng);
+        let mut sys = MultiTileSystem::with_delivery(d, 1, p, mode).map_err(|e| e.to_string())?;
+        let run = sys.run_memory_workload(cycles, &program, 20, &mut rng);
         println!(
             "{mode:?}: {} bus bytes, logical {} ({} local / {} escalated decodes)",
             run.bus_bytes(),

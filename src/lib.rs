@@ -20,19 +20,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use quest::arch::{DeliveryMode, QuestSystem};
+//! use quest::arch::{DeliveryMode, MultiTileSystem};
 //! use quest::isa::LogicalProgram;
 //! use quest::stabilizer::{SeedableRng, StdRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let mut system = QuestSystem::new(3, 1e-3)?;
-//! let run = system.run_memory_workload(
-//!     50,
-//!     &LogicalProgram::new(),
-//!     0,
-//!     DeliveryMode::QuestMce,
-//!     &mut rng,
-//! );
+//! // One d=3 tile at p = 1e-3, QECC replayed by its MCE.
+//! let mut system = MultiTileSystem::with_delivery(3, 1, 1e-3, DeliveryMode::QuestMce)?;
+//! let run = system.run_memory_workload(50, &LogicalProgram::new(), 0, &mut rng);
 //! assert!(run.logical_ok());
 //! # Ok::<(), quest::arch::BuildError>(())
 //! ```
