@@ -9,10 +9,11 @@
 //! samplers) turns every gate into a handful of word XOR/swap operations
 //! over all packed shots at once.
 //!
-//! The word type is pluggable: [`FrameSimulator`] is generic over
-//! [`FrameWord`], packing 64 shots (`u64`, the default), 256 ([`W256`])
-//! or 512 ([`W512`]) shots per plane word. See [`LaneWidth`] for the
-//! runtime selector.
+//! [`FrameSimulator`] is generic over [`FrameWord`], packing 64 shots
+//! (`u64`, the type default) or 512 ([`W512`]) shots per plane word. The
+//! batch sampler runs on `W512` only; `u64` is the lane-identity
+//! reference the tests compare it against and the second word type the
+//! per-word gate micro-benchmark times.
 //!
 //! Semantics: [`FrameSimulator`] tracks, per qubit and per shot, the X and
 //! Z components of the Pauli error separating that shot's state from the
@@ -26,7 +27,7 @@
 //! its own stream in circuit order, and block `b` always occupies lane
 //! `b % LANES` of word `b / LANES`, results are bit-identical regardless
 //! of how many blocks a batch holds, how blocks are spread over worker
-//! threads, *and which lane width is in use*. Noise injection uses
+//! threads, *and which word type holds them*. Noise injection uses
 //! inverse-geometric skip sampling (exactly Bernoulli per bit, see
 //! [`FrameSimulator::inject_pauli_channel`]), so the draw count per block
 //! scales with the expected number of errors instead of the shot count.
@@ -50,7 +51,7 @@ mod planes;
 mod word;
 
 pub use planes::FramePlanes;
-pub use word::{FrameWord, LaneWidth, W256, W512};
+pub use word::{FrameWord, W512};
 
 use crate::circuit::Gate;
 use crate::noise::PauliChannel;
@@ -746,32 +747,32 @@ mod tests {
 
     #[test]
     fn injection_is_lane_identical_across_widths() {
-        // The same (master, base) blocks through u64 and W256 engines:
-        // block b must land in lane b % 4 of word b / 4, bit-for-bit.
+        // The same (master, base) blocks through u64 and W512 engines:
+        // block b must land in lane b % 8 of word b / 8, bit-for-bit.
         let channel = PauliChannel::depolarizing(0.15);
-        let mut narrow: FrameSimulator<u64> = FrameSimulator::new(2, 8 * 64);
-        let mut rngs = BlockRngs::new(41, 16, 8);
+        let mut narrow: FrameSimulator<u64> = FrameSimulator::new(2, 16 * 64);
+        let mut rngs = BlockRngs::new(41, 16, 16);
         for q in 0..2 {
             narrow.inject_pauli_channel(&channel, q, &mut rngs);
         }
-        let mut wide: FrameSimulator<W256> = FrameSimulator::new(2, 8 * 64);
-        let mut rngs = BlockRngs::new(41, 16, 8);
+        let mut wide: FrameSimulator<W512> = FrameSimulator::new(2, 16 * 64);
+        let mut rngs = BlockRngs::new(41, 16, 16);
         for q in 0..2 {
             wide.inject_pauli_channel(&channel, q, &mut rngs);
         }
         for q in 0..2 {
-            for b in 0..8 {
-                assert_eq!(narrow.x_plane(q)[b], wide.x_plane(q)[b / 4].lane(b % 4));
-                assert_eq!(narrow.z_plane(q)[b], wide.z_plane(q)[b / 4].lane(b % 4));
+            for b in 0..16 {
+                assert_eq!(narrow.x_plane(q)[b], wide.x_plane(q)[b / 8].lane(b % 8));
+                assert_eq!(narrow.z_plane(q)[b], wide.z_plane(q)[b / 8].lane(b % 8));
             }
         }
         // Same for the classical flip planes.
-        let mut plane_n = vec![0u64; 8];
-        FrameSimulator::<u64>::xor_flip_plane(0.07, &mut BlockRngs::new(13, 5, 8), &mut plane_n);
-        let mut plane_w = vec![W256::ZERO; 2];
-        FrameSimulator::<W256>::xor_flip_plane(0.07, &mut BlockRngs::new(13, 5, 8), &mut plane_w);
-        for b in 0..8 {
-            assert_eq!(plane_n[b], plane_w[b / 4].lane(b % 4), "flip block {b}");
+        let mut plane_n = vec![0u64; 16];
+        FrameSimulator::<u64>::xor_flip_plane(0.07, &mut BlockRngs::new(13, 5, 16), &mut plane_n);
+        let mut plane_w = vec![W512::ZERO; 2];
+        FrameSimulator::<W512>::xor_flip_plane(0.07, &mut BlockRngs::new(13, 5, 16), &mut plane_w);
+        for b in 0..16 {
+            assert_eq!(plane_n[b], plane_w[b / 8].lane(b % 8), "flip block {b}");
         }
     }
 

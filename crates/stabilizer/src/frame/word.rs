@@ -1,18 +1,20 @@
-//! Wide frame words: the bit-plane element type of the batch engine.
+//! Frame words: the bit-plane element type of the batch engine.
 //!
-//! [`FrameWord`] abstracts "one machine word of shots" so the frame
-//! simulator can pack 64 (`u64`), 256 ([`W256`]) or 512 ([`W512`]) shots
-//! into every plane word. The wide types are plain `[u64; N]` arrays whose
-//! operations are fixed-length lane loops — the optimiser unrolls them and
-//! lowers them to SSE/AVX register ops without any target-feature
-//! gymnastics. Every operation is defined lane-wise, so lane `l` of a wide
-//! word behaves exactly like a standalone `u64` word.
+//! [`FrameWord`] abstracts "one machine word of shots". The batch sampler
+//! packs 512 shots into every plane word ([`W512`]); the `u64` word (64
+//! shots) stays as the lane-identity reference and for one-word
+//! micro-benchmarks. `W512` is a plain `[u64; 8]` array whose operations
+//! are fixed-length lane loops — the optimiser unrolls them and lowers
+//! them to SSE/AVX register ops without any target-feature gymnastics.
+//! Every operation is defined lane-wise, so lane `l` of a `W512` behaves
+//! exactly like a standalone `u64` word.
 //!
 //! That lane discipline is the whole width-invariance argument: a 64-shot
 //! *block* never mixes bits with its neighbours, randomness is drawn per
 //! block (see [`super::BlockRngs`]), and block `b` of a batch always lands
-//! in lane `b % LANES` of word `b / LANES`. Widening therefore changes how
-//! many blocks one instruction touches — never which bits any block holds.
+//! in lane `b % LANES` of word `b / LANES`. The word width therefore
+//! changes how many blocks one instruction touches — never which bits any
+//! block holds.
 
 /// One machine word of per-shot bits: 64-shot lanes packed `LANES` wide.
 ///
@@ -122,142 +124,63 @@ impl FrameWord for u64 {
     }
 }
 
-macro_rules! wide_word {
-    ($name:ident, $lanes:expr, $align:expr, $doc:expr) => {
-        #[doc = $doc]
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        #[repr(align($align))]
-        pub struct $name(pub [u64; $lanes]);
+/// A 512-bit frame word: eight 64-shot lanes (one AVX-512 register, or a
+/// pair of AVX2 ops on narrower machines).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(align(64))]
+pub struct W512(pub [u64; 8]);
 
-        impl FrameWord for $name {
-            const LANES: usize = $lanes;
-            const BITS: usize = $lanes * 64;
-            const ZERO: $name = $name([0; $lanes]);
-            const ONES: $name = $name([u64::MAX; $lanes]);
+impl FrameWord for W512 {
+    const LANES: usize = 8;
+    const BITS: usize = 512;
+    const ZERO: W512 = W512([0; 8]);
+    const ONES: W512 = W512([u64::MAX; 8]);
 
-            #[inline]
-            fn lane(&self, l: usize) -> u64 {
-                self.0[l]
-            }
-
-            #[inline]
-            fn lane_mut(&mut self, l: usize) -> &mut u64 {
-                &mut self.0[l]
-            }
-
-            #[inline]
-            fn xor(mut self, rhs: $name) -> $name {
-                for l in 0..$lanes {
-                    self.0[l] ^= rhs.0[l];
-                }
-                self
-            }
-
-            #[inline]
-            fn and(mut self, rhs: $name) -> $name {
-                for l in 0..$lanes {
-                    self.0[l] &= rhs.0[l];
-                }
-                self
-            }
-
-            #[inline]
-            fn or(mut self, rhs: $name) -> $name {
-                for l in 0..$lanes {
-                    self.0[l] |= rhs.0[l];
-                }
-                self
-            }
-
-            #[inline]
-            fn not(mut self) -> $name {
-                for l in 0..$lanes {
-                    self.0[l] = !self.0[l];
-                }
-                self
-            }
-
-            #[inline]
-            fn count_ones(self) -> u32 {
-                let mut n = 0u32;
-                for l in 0..$lanes {
-                    n += self.0[l].count_ones();
-                }
-                n
-            }
-        }
-    };
-}
-
-wide_word!(
-    W256,
-    4,
-    32,
-    "A 256-bit frame word: four 64-shot lanes (one AVX2 register)."
-);
-wide_word!(
-    W512,
-    8,
-    64,
-    "A 512-bit frame word: eight 64-shot lanes (one AVX-512 register, \
-     or a pair of AVX2 ops on narrower machines)."
-);
-
-/// Runtime selector for the frame engine's word width.
-///
-/// All widths produce bit-identical results for the same `(shots, seed)`
-/// (see the `frame_equivalence` tests); wider words trade plane-memory
-/// granularity for fewer, fatter instructions on the gate path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneWidth {
-    /// One 64-shot lane per word (`u64`).
-    X1,
-    /// Four lanes, 256 shots per word ([`W256`]).
-    X4,
-    /// Eight lanes, 512 shots per word ([`W512`]) — the default.
-    #[default]
-    X8,
-}
-
-impl LaneWidth {
-    /// Every available width, narrowest first.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::X1, LaneWidth::X4, LaneWidth::X8];
-
-    /// Number of 64-shot lanes per word.
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::X1 => 1,
-            LaneWidth::X4 => 4,
-            LaneWidth::X8 => 8,
-        }
+    #[inline]
+    fn lane(&self, l: usize) -> u64 {
+        self.0[l]
     }
 
-    /// Shots per word.
-    #[must_use]
-    pub fn bits(self) -> usize {
-        self.lanes() * 64
+    #[inline]
+    fn lane_mut(&mut self, l: usize) -> &mut u64 {
+        &mut self.0[l]
     }
 
-    /// Display name: the word width in bits.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneWidth::X1 => "64",
-            LaneWidth::X4 => "256",
-            LaneWidth::X8 => "512",
+    #[inline]
+    fn xor(mut self, rhs: W512) -> W512 {
+        for (a, b) in self.0.iter_mut().zip(rhs.0) {
+            *a ^= b;
         }
+        self
     }
 
-    /// Parses `"64"`/`"256"`/`"512"` (or `"x1"`/`"x4"`/`"x8"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<LaneWidth> {
-        match s {
-            "64" | "x1" => Some(LaneWidth::X1),
-            "256" | "x4" => Some(LaneWidth::X4),
-            "512" | "x8" => Some(LaneWidth::X8),
-            _ => None,
+    #[inline]
+    fn and(mut self, rhs: W512) -> W512 {
+        for (a, b) in self.0.iter_mut().zip(rhs.0) {
+            *a &= b;
         }
+        self
+    }
+
+    #[inline]
+    fn or(mut self, rhs: W512) -> W512 {
+        for (a, b) in self.0.iter_mut().zip(rhs.0) {
+            *a |= b;
+        }
+        self
+    }
+
+    #[inline]
+    fn not(mut self) -> W512 {
+        for a in &mut self.0 {
+            *a = !*a;
+        }
+        self
+    }
+
+    #[inline]
+    fn count_ones(self) -> u32 {
+        self.0.iter().map(|a| a.count_ones()).sum()
     }
 }
 
@@ -290,7 +213,6 @@ mod tests {
     #[test]
     fn lane_ops_hold_for_all_widths() {
         exercise_lanes::<u64>();
-        exercise_lanes::<W256>();
         exercise_lanes::<W512>();
     }
 
@@ -316,7 +238,6 @@ mod tests {
     #[test]
     fn low_mask_is_a_bit_prefix() {
         exercise_low_mask::<u64>();
-        exercise_low_mask::<W256>();
         exercise_low_mask::<W512>();
     }
 
@@ -324,16 +245,5 @@ mod tests {
     #[should_panic(expected = "mask width")]
     fn low_mask_rejects_zero() {
         let _ = u64::low_mask(0);
-    }
-
-    #[test]
-    fn lane_width_round_trips() {
-        for w in LaneWidth::ALL {
-            assert_eq!(LaneWidth::parse(w.name()), Some(w));
-            assert_eq!(w.bits(), w.lanes() * 64);
-        }
-        assert_eq!(LaneWidth::parse("x4"), Some(LaneWidth::X4));
-        assert_eq!(LaneWidth::parse("128"), None);
-        assert_eq!(LaneWidth::default(), LaneWidth::X8);
     }
 }

@@ -41,8 +41,7 @@ pub mod tableau;
 
 pub use circuit::{Circuit, Gate};
 pub use frame::{
-    block_seed, BlockRngs, FramePlanes, FrameSimulator, FrameWord, LaneWidth, SHOTS_PER_WORD, W256,
-    W512,
+    block_seed, BlockRngs, FramePlanes, FrameSimulator, FrameWord, SHOTS_PER_WORD, W512,
 };
 pub use noise::{NoiseChannel, PauliChannel};
 pub use pauli::{Pauli, PauliString};

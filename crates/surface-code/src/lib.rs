@@ -45,7 +45,6 @@ pub use designs::SyndromeDesign;
 pub use graph::{DecodingEdge, DecodingGraph, EdgeId, Fault, NodeId};
 pub use lattice::{Plaquette, RotatedLattice, StabKind};
 pub use memory::{MemoryBasis, MemoryExperiment, MemoryNoise, MemoryOutcome};
-pub use quest_stabilizer::frame::LaneWidth;
 pub use sampler::{BatchOutcome, EarlyExit, FrameSampler, SamplerConfig, PLANE_DECODE_DENSITY};
 pub use schedule::{SyndromeCircuit, SyndromeRound};
 pub use threshold::{SweepConfig, ThresholdPoint, ThresholdSweep};

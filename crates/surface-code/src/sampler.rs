@@ -4,9 +4,9 @@
 //! instead of re-running the CHP tableau once per shot (as
 //! [`MemoryExperiment::run`] does), it compiles the syndrome circuit
 //! once, derives the noiseless reference record from a single tableau
-//! run, then propagates bit-packed Pauli frames through the circuit —
-//! 64, 256 or 512 shots per plane word depending on the configured
-//! [`LaneWidth`] (see [`quest_stabilizer::frame`]). Per shot, only the decoder runs,
+//! run, then propagates bit-packed Pauli frames through the circuit, 512
+//! shots per [`W512`] plane word (see [`quest_stabilizer::frame`]), 4096
+//! shots per internal chunk. Per shot, only the decoder runs,
 //! and even that is batched: detection events are handed to the decoder
 //! as whole bit-planes ([`EventPlanes`]) when dense enough, falling back
 //! to per-shot sparse sets below [`PLANE_DECODE_DENSITY`].
@@ -33,27 +33,28 @@
 //! `(seed, global block index)` via [`quest_stabilizer::frame::block_seed`].
 //! Each block consumes a fixed draw schedule (per round: data-channel draws
 //! in qubit order, then measurement-flip draws in check order), and block
-//! `b` always lands in lane `b % LANES` of word `b / LANES` — so results
-//! are invariant under the internal chunk size, under any distribution of
-//! chunks over threads, *and under the lane width*: `run_batch` is a pure
-//! function of `(experiment, noise, decoder, shots, seed)`.
+//! `b` always lands in lane `b % 8` of word `b / 8` — so results are
+//! invariant under the internal chunk size and under any distribution of
+//! chunks over threads: `run_batch` is a pure function of `(experiment,
+//! noise, decoder, shots, seed)`. The unit tests pin the chunk invariance
+//! by running the private chunked engine at other chunk sizes.
 //!
 //! Early exit (see [`EarlyExit`]) preserves this: the stop decision is a
 //! pure function of the integer `(failures, shots)` tally, evaluated only
-//! at fixed 512-shot-aligned milestones — never at chunk boundaries that
-//! depend on the chunk size or lane width. Two runs with the same
-//! `(shots, seed, early)` therefore stop at the same milestone and report
-//! identical outcomes, whatever their chunking, threading or width.
+//! at fixed 512-shot-aligned milestones — never at chunk boundaries. Two
+//! runs with the same `(shots, seed, early)` therefore stop at the same
+//! milestone and report identical outcomes, whatever their chunking or
+//! threading.
 
 use crate::decoder::{CorrectionBatch, Decoder, EventPlanes};
 use crate::graph::{DecodingGraph, NodeId};
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
-use quest_stabilizer::frame::{BlockRngs, FrameSimulator, FrameWord, LaneWidth, W256, W512};
+use quest_stabilizer::frame::{BlockRngs, FrameSimulator, FrameWord, W512};
 use quest_stabilizer::{Gate, Pauli, SeedableRng, StdRng, Tableau};
 
-/// Default shots per internal chunk: bounds plane memory while keeping
-/// word-level parallelism saturated at every lane width.
-const DEFAULT_CHUNK_SHOTS: usize = 4096;
+/// Shots per internal frame chunk (eight `W512` words): bounds plane
+/// memory while keeping word-level parallelism saturated.
+const CHUNK_SHOTS: usize = 4096;
 
 /// Mean detection events per (node, shot) below which the sampler
 /// scatters events to per-shot sparse sets instead of handing whole
@@ -64,10 +65,9 @@ const DEFAULT_CHUNK_SHOTS: usize = 4096;
 /// results.
 pub const PLANE_DECODE_DENSITY: f64 = 1.0 / 256.0;
 
-/// Early-exit shot milestones are aligned to this many shots — a
-/// multiple of every lane width's word size, so a milestone is a word
-/// boundary at any width and the decision point never depends on the
-/// width or chunk size.
+/// Early-exit shot milestones are aligned to this many shots — one
+/// [`W512`] word, so a milestone is always a word boundary and the
+/// decision point never depends on the chunk size.
 pub const EARLY_EXIT_ALIGN: usize = 512;
 
 /// `ln(1e9)`: the Hoeffding confidence level of the early-exit rate
@@ -90,8 +90,8 @@ const EARLY_EXIT_CONFIDENCE_LN: f64 = 20.723_265_836_946_41;
 ///    `decide_below` — the point is decided to sit below the bracket.
 ///
 /// The decision is a pure function of the integer `(failures, shots)`
-/// tally, so it is invariant under chunk size, worker count and lane
-/// width (the tallies themselves are, and milestones are fixed).
+/// tally, so it is invariant under chunk size and worker count (the
+/// tallies themselves are, and milestones are fixed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyExit {
     /// Never stop before this many shots.
@@ -154,26 +154,11 @@ impl EarlyExit {
 }
 
 /// Knobs of a configured batch run; [`FrameSampler::run_batch`] uses the
-/// defaults (widest lanes, default chunk, no early exit).
-#[derive(Debug, Clone, Copy)]
+/// default (no early exit).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SamplerConfig {
-    /// Plane word width. All widths give bit-identical outcomes; wider
-    /// is faster.
-    pub width: LaneWidth,
-    /// Shots per internal frame chunk (results are chunk-invariant).
-    pub chunk_shots: usize,
     /// Optional deterministic early exit.
     pub early_exit: Option<EarlyExit>,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> SamplerConfig {
-        SamplerConfig {
-            width: LaneWidth::default(),
-            chunk_shots: DEFAULT_CHUNK_SHOTS,
-            early_exit: None,
-        }
-    }
 }
 
 /// Aggregate result of a batched memory run.
@@ -331,7 +316,7 @@ impl FrameSampler {
 
     /// Whether readout flips live in the X or Z frame plane: a Z-basis
     /// readout is flipped by the frame's X component and vice versa.
-    fn readout_plane<'a, W: FrameWord>(&self, sim: &'a FrameSimulator<W>, q: usize) -> &'a [W] {
+    fn readout_plane<'a>(&self, sim: &'a FrameSimulator<W512>, q: usize) -> &'a [W512] {
         match self.basis {
             MemoryBasis::Z => sim.x_plane(q),
             MemoryBasis::X => sim.z_plane(q),
@@ -339,8 +324,7 @@ impl FrameSampler {
     }
 
     /// Runs `shots` shots with the default [`SamplerConfig`]. The result
-    /// is independent of chunking, threading and lane width by
-    /// construction.
+    /// is independent of chunking and threading by construction.
     pub fn run_batch<D: Decoder>(
         &self,
         noise: &MemoryNoise,
@@ -351,13 +335,13 @@ impl FrameSampler {
         self.run_batch_configured(noise, decoder, shots, seed, &SamplerConfig::default())
     }
 
-    /// Runs `shots` shots under an explicit [`SamplerConfig`] — lane
-    /// width, chunk size and optional early exit.
+    /// Runs `shots` shots under an explicit [`SamplerConfig`] (optional
+    /// early exit).
     ///
     /// # Panics
     ///
-    /// Panics if `shots` or `cfg.chunk_shots` is zero, or if
-    /// `cfg.early_exit` has a misaligned `check_every`.
+    /// Panics if `shots` is zero, or if `cfg.early_exit` has a misaligned
+    /// `check_every`.
     pub fn run_batch_configured<D: Decoder>(
         &self,
         noise: &MemoryNoise,
@@ -366,42 +350,38 @@ impl FrameSampler {
         seed: u64,
         cfg: &SamplerConfig,
     ) -> BatchOutcome {
-        match cfg.width {
-            LaneWidth::X1 => self.run_core::<u64, D>(noise, decoder, shots, seed, cfg),
-            LaneWidth::X4 => self.run_core::<W256, D>(noise, decoder, shots, seed, cfg),
-            LaneWidth::X8 => self.run_core::<W512, D>(noise, decoder, shots, seed, cfg),
-        }
+        self.run_chunked(noise, decoder, shots, seed, cfg, CHUNK_SHOTS)
     }
 
-    /// The width-generic batch engine behind both `run_batch` entry
-    /// points.
-    fn run_core<W: FrameWord, D: Decoder>(
+    /// The batch engine: simulates and decodes `chunk_shots` shots at a
+    /// time (rounded up to whole words). Results do not depend on
+    /// `chunk_shots`; only the tests pass anything but [`CHUNK_SHOTS`].
+    fn run_chunked<D: Decoder>(
         &self,
         noise: &MemoryNoise,
         decoder: &D,
         shots: usize,
         seed: u64,
         cfg: &SamplerConfig,
+        chunk_shots: usize,
     ) -> BatchOutcome {
         assert!(shots > 0, "need at least one shot");
-        assert!(cfg.chunk_shots > 0, "need a positive chunk size");
         if let Some(e) = &cfg.early_exit {
             e.validate();
         }
         let total_blocks = shots.div_ceil(64);
-        let chunk_words = cfg
-            .chunk_shots
-            .div_ceil(W::BITS)
-            .min(total_blocks.div_ceil(W::LANES));
-        let chunk_blocks = chunk_words * W::LANES;
+        let chunk_words = chunk_shots
+            .div_ceil(W512::BITS)
+            .min(total_blocks.div_ceil(W512::LANES));
+        let chunk_blocks = chunk_words * W512::LANES;
         let num_nodes = self.graph.boundary();
 
-        let mut sim: FrameSimulator<W> =
-            FrameSimulator::new(self.num_qubits, chunk_words * W::BITS);
+        let mut sim: FrameSimulator<W512> =
+            FrameSimulator::new(self.num_qubits, chunk_words * W512::BITS);
         // Record planes: rec[(t * num_checks + c) * words + w].
-        let mut rec = vec![W::ZERO; self.rounds * self.num_checks * chunk_words];
+        let mut rec = vec![W512::ZERO; self.rounds * self.num_checks * chunk_words];
         // Per-measurement-slot planes of the current round.
-        let mut meas: Vec<W> = Vec::new();
+        let mut meas: Vec<W512> = Vec::new();
         // Node-major detection-event planes: ev[node * blocks + b].
         let mut ev = vec![0u64; num_nodes * chunk_blocks];
         // Uncorrected logical readout flips, one u64 per 64-shot block.
@@ -432,7 +412,7 @@ impl FrameSampler {
                 end_block = end_block.min((base_block / ms + 1) * ms);
             }
             let blocks = end_block - base_block;
-            let words = blocks.div_ceil(W::LANES);
+            let words = blocks.div_ceil(W512::LANES);
             let mut rngs = BlockRngs::new(seed, base_block as u64, blocks);
             self.simulate_chunk(noise, &mut sim, &mut rngs, words, &mut rec, &mut meas);
 
@@ -503,14 +483,14 @@ impl FrameSampler {
     /// Simulates one chunk of shot-words: noise injection, gate
     /// propagation and measurement-flip sampling, filling `rec` with the
     /// monitored record planes.
-    fn simulate_chunk<W: FrameWord>(
+    fn simulate_chunk(
         &self,
         noise: &MemoryNoise,
-        sim: &mut FrameSimulator<W>,
+        sim: &mut FrameSimulator<W512>,
         rngs: &mut BlockRngs,
         words: usize,
-        rec: &mut [W],
-        meas: &mut Vec<W>,
+        rec: &mut [W512],
+        meas: &mut Vec<W512>,
     ) {
         let sim_words = sim.words();
         sim.clear();
@@ -540,10 +520,10 @@ impl FrameSampler {
     /// all-zero reference, later rounds against their predecessor, and a
     /// final perfect-readout round from data parities. Also fills the
     /// uncorrected logical-flip blocks.
-    fn extract_event_planes<W: FrameWord>(
+    fn extract_event_planes(
         &self,
-        sim: &FrameSimulator<W>,
-        rec: &[W],
+        sim: &FrameSimulator<W512>,
+        rec: &[W512],
         words: usize,
         live_shots: usize,
         ev: &mut [u64],
@@ -559,16 +539,16 @@ impl FrameSampler {
         debug_assert_eq!(ev.len(), self.graph.boundary() * blocks);
         debug_assert_eq!(logical_blocks.len(), blocks);
 
-        // Writes the 64-bit lanes of a W-word plane into one node's row,
+        // Writes the 64-bit lanes of a word plane into one node's row,
         // masking the trailing block's dead lanes.
-        let flatten = |plane: &[W], out: &mut [u64]| {
+        let flatten = |plane: &[W512], out: &mut [u64]| {
             for (b, slot) in out.iter_mut().enumerate().take(blocks) {
-                *slot = plane[b / W::LANES].lane(b % W::LANES);
+                *slot = plane[b / W512::LANES].lane(b % W512::LANES);
             }
             out[blocks - 1] &= tail_mask;
         };
 
-        let mut node_plane = vec![W::ZERO; words];
+        let mut node_plane = vec![W512::ZERO; words];
         for t_idx in 0..self.rounds {
             for c in 0..self.num_checks {
                 let cur = &rec[(t_idx * self.num_checks + c) * words..][..words];
@@ -588,7 +568,7 @@ impl FrameSampler {
         for c in 0..self.num_checks {
             let last = &rec[((self.rounds - 1) * self.num_checks + c) * words..][..words];
             for w in 0..words {
-                let mut parity = W::ZERO;
+                let mut parity = W512::ZERO;
                 for &q in &self.check_support[c] {
                     parity = parity.xor(self.readout_plane(sim, q)[w]);
                 }
@@ -599,7 +579,7 @@ impl FrameSampler {
         }
         // Uncorrected logical readout flips.
         for (w, slot) in node_plane.iter_mut().enumerate().take(words) {
-            let mut parity = W::ZERO;
+            let mut parity = W512::ZERO;
             for &q in &self.logical_support {
                 parity = parity.xor(self.readout_plane(sim, q)[w]);
             }
@@ -633,10 +613,10 @@ impl FrameSampler {
             self.rounds,
             "one flip layer per round"
         );
-        let mut sim: FrameSimulator = FrameSimulator::new(self.num_qubits, 1);
+        let mut sim: FrameSimulator<W512> = FrameSimulator::new(self.num_qubits, 1);
         let words = sim.words();
-        let mut rec = vec![0u64; self.rounds * self.num_checks * words];
-        let mut meas: Vec<u64> = Vec::new();
+        let mut rec = vec![W512::ZERO; self.rounds * self.num_checks * words];
+        let mut meas: Vec<W512> = Vec::new();
         for (t_idx, (errors, flips)) in errors_per_round
             .iter()
             .zip(meas_flips_per_round)
@@ -656,7 +636,7 @@ impl FrameSampler {
                 rec[(t_idx * self.num_checks + c) * words..][..words]
                     .copy_from_slice(&meas[slot * words..][..words]);
                 if flips[c] {
-                    rec[(t_idx * self.num_checks + c) * words] ^= 1;
+                    *rec[(t_idx * self.num_checks + c) * words].lane_mut(0) ^= 1;
                 }
             }
         }
@@ -730,24 +710,60 @@ mod tests {
     }
 
     #[test]
-    fn all_lane_widths_agree_exactly() {
+    fn run_batch_is_invariant_under_batch_size() {
+        // Every chunk size is a whole number of 512-shot words, so each
+        // one splits the run differently; 1000 shots leaves a ragged tail.
+        let uf = UnionFindDecoder::new();
+        let cfg = SamplerConfig::default();
+        for (d, p, shots, seed) in [
+            (3, 0.02, 1000, 42),
+            (5, 0.03, 1000, 0xA11CE),
+            (5, 0.03, 4096, 0xA11CE),
+        ] {
+            let exp = MemoryExperiment::new(d, d, MemoryBasis::Z);
+            let sampler = FrameSampler::new(&exp);
+            let noise = MemoryNoise::phenomenological(p);
+            let whole = sampler.run_batch(&noise, &uf, shots, seed);
+            assert!(whole.detection_events > 0);
+            for chunk in [512, 1024] {
+                let chunked = sampler.run_chunked(&noise, &uf, shots, seed, &cfg, chunk);
+                assert_eq!(chunked, whole, "d={d}, {shots} shots, chunk {chunk}");
+            }
+        }
+        // And a different seed must actually change the sample.
         let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
         let sampler = FrameSampler::new(&exp);
         let noise = MemoryNoise::phenomenological(0.02);
+        let run = |seed| sampler.run_chunked(&noise, &uf, 1000, seed, &cfg, 512);
+        assert_ne!(
+            run(42).detection_events,
+            run(43).detection_events,
+            "different seeds should differ"
+        );
+    }
+
+    #[test]
+    fn early_exit_is_invariant_under_chunk_size() {
+        // One-word chunks against the production chunk: the early exit
+        // must stop at the same milestone with the same tallies, also
+        // when milestones are sparser than a chunk is long.
+        let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
+        let sampler = FrameSampler::new(&exp);
+        let noise = MemoryNoise::code_capacity(0.08);
         let uf = UnionFindDecoder::new();
-        let outs: Vec<BatchOutcome> = LaneWidth::ALL
-            .iter()
-            .map(|&width| {
-                let cfg = SamplerConfig {
-                    width,
-                    ..SamplerConfig::default()
-                };
-                sampler.run_batch_configured(&noise, &uf, 1000, 21, &cfg)
-            })
-            .collect();
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[0], outs[2]);
-        assert!(outs[0].detection_events > 0);
+        for check_every in [512, 2048] {
+            let cfg = SamplerConfig {
+                early_exit: Some(EarlyExit {
+                    check_every,
+                    ..EarlyExit::default()
+                }),
+            };
+            let production = sampler.run_batch_configured(&noise, &uf, 8192, 3, &cfg);
+            let small = sampler.run_chunked(&noise, &uf, 8192, 3, &cfg, 512);
+            assert_eq!(small, production, "check_every {check_every}");
+            assert!(production.shots < 8192, "must exit early above threshold");
+            assert_eq!(production.shots % check_every, 0);
+        }
     }
 
     #[test]
@@ -761,7 +777,6 @@ mod tests {
         let uf = UnionFindDecoder::new();
         let cfg = SamplerConfig {
             early_exit: Some(EarlyExit::default()),
-            ..SamplerConfig::default()
         };
         let early = sampler.run_batch_configured(&noise, &uf, 8192, 3, &cfg);
         assert!(early.shots < 8192, "must exit early above threshold");
@@ -782,7 +797,6 @@ mod tests {
         let uf = UnionFindDecoder::new();
         let cfg = SamplerConfig {
             early_exit: Some(EarlyExit::decide_below(0.05)),
-            ..SamplerConfig::default()
         };
         let out = sampler.run_batch_configured(&MemoryNoise::noiseless(), &uf, 1 << 14, 9, &cfg);
         // sqrt(ln(1e9) / (2 s)) < 0.05 needs s >= 4145 -> stop at 4608.

@@ -10,7 +10,7 @@
 use crate::decoder::Decoder;
 use crate::memory::{MemoryBasis, MemoryExperiment, MemoryNoise};
 use crate::sampler::{EarlyExit, FrameSampler, SamplerConfig};
-use quest_stabilizer::frame::{block_seed, LaneWidth};
+use quest_stabilizer::frame::block_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -18,8 +18,6 @@ use std::sync::Mutex;
 /// [`ThresholdSweep::run_batch_configured`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
-    /// Frame-plane lane width; sweep results are width-invariant.
-    pub width: LaneWidth,
     /// Optional deterministic per-point early exit. Points stopped early
     /// report their actual shot count in [`ThresholdPoint::shots`].
     pub early_exit: Option<EarlyExit>,
@@ -31,7 +29,6 @@ pub struct SweepConfig {
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
-            width: LaneWidth::default(),
             early_exit: None,
             workers: 1,
         }
@@ -70,11 +67,10 @@ impl ThresholdSweep {
     /// RNG stream derived from `(seed, canonical point index)`, work is
     /// claimed from an atomic counter, and results are written into their
     /// canonical `(distance, p)` slot. The sweep is therefore a pure
-    /// function of `(grid, shots, seed, early_exit)`: lane width and
-    /// worker count never change any point, and the early-exit decision
-    /// is evaluated per point from deterministic tallies at fixed
-    /// milestones — so an early-exited sweep equals the full sweep
-    /// truncated per point.
+    /// function of `(grid, shots, seed, early_exit)`: the worker count
+    /// never changes any point, and the early-exit decision is evaluated
+    /// per point from deterministic tallies at fixed milestones — so an
+    /// early-exited sweep equals the full sweep truncated per point.
     ///
     /// # Panics
     ///
@@ -90,9 +86,7 @@ impl ThresholdSweep {
         assert!(cfg.workers > 0, "need at least one worker");
         let workers = cfg.workers;
         let sampler_cfg = SamplerConfig {
-            width: cfg.width,
             early_exit: cfg.early_exit,
-            ..SamplerConfig::default()
         };
         // Canonical grid in (distance, p) order; each point gets an
         // independent master seed from its canonical index.

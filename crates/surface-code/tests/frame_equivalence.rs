@@ -8,14 +8,14 @@
 //! randomized fault patterns at d ∈ {3, 5} in both bases, under
 //! code-capacity (data errors only) and phenomenological (data +
 //! measurement-flip) fault shapes — and additionally pin the batch
-//! sampler's determinism: invariance under internal batch size and under
-//! the threshold sweep's worker count.
+//! sampler's determinism: invariance under the threshold sweep's worker
+//! count, exact tail masking, and early exit. (Invariance under the
+//! internal chunk size is a unit test of the private chunked engine.)
 
 use quest_stabilizer::{Pauli, PauliChannel, Rng, SeedableRng, StdRng};
 use quest_surface::{
-    BatchOutcome, Correction, Decoder, DecodingGraph, EarlyExit, FrameSampler, LaneWidth,
-    MemoryBasis, MemoryExperiment, MemoryNoise, NodeId, SamplerConfig, SweepConfig, ThresholdSweep,
-    UnionFindDecoder,
+    Correction, Decoder, DecodingGraph, EarlyExit, FrameSampler, MemoryBasis, MemoryExperiment,
+    MemoryNoise, NodeId, SweepConfig, ThresholdSweep, UnionFindDecoder,
 };
 
 /// Draws a random fault pattern: per-round per-data-qubit Paulis (density
@@ -129,37 +129,6 @@ fn single_faults_agree_exhaustively() {
 }
 
 #[test]
-fn run_batch_is_invariant_under_batch_size() {
-    let exp = MemoryExperiment::new(3, 3, MemoryBasis::Z);
-    let sampler = FrameSampler::new(&exp);
-    let noise = MemoryNoise::phenomenological(0.02);
-    let uf = UnionFindDecoder::new();
-    let run = |seed: u64, chunk_shots: usize| {
-        let cfg = SamplerConfig {
-            chunk_shots,
-            ..SamplerConfig::default()
-        };
-        sampler.run_batch_configured(&noise, &uf, 1000, seed, &cfg)
-    };
-    // 1000 shots spans multiple 64-chunks and 256-chunks with a ragged
-    // tail in both splits.
-    let small = run(42, 64);
-    let large = run(42, 256);
-    let whole = run(42, 1000);
-    assert_eq!(small, large, "chunk 64 vs 256 must be bit-identical");
-    assert_eq!(
-        small, whole,
-        "chunked vs single-batch must be bit-identical"
-    );
-    // And a different seed must actually change the sample.
-    let other = run(43, 256);
-    assert_ne!(
-        small.detection_events, other.detection_events,
-        "different seeds should differ"
-    );
-}
-
-#[test]
 fn threshold_run_batch_is_invariant_under_worker_count() {
     let uf = UnionFindDecoder::new();
     let distances = [3usize, 5];
@@ -195,79 +164,6 @@ impl<D: Decoder> Decoder for ForceSparse<D> {
 
     fn decode_many(&self, graph: &DecodingGraph, event_sets: &[Vec<NodeId>]) -> Vec<Correction> {
         self.0.decode_many(graph, event_sets)
-    }
-}
-
-fn run_width(
-    sampler: &FrameSampler,
-    noise: &MemoryNoise,
-    shots: usize,
-    seed: u64,
-    width: LaneWidth,
-    chunk_shots: usize,
-) -> BatchOutcome {
-    let cfg = SamplerConfig {
-        width,
-        chunk_shots,
-        ..SamplerConfig::default()
-    };
-    sampler.run_batch_configured(noise, &UnionFindDecoder::new(), shots, seed, &cfg)
-}
-
-#[test]
-fn run_batch_is_invariant_under_lane_width() {
-    // 64-, 256- and 512-bit plane words over the same (shots, seed) must
-    // produce bit-identical outcomes, including at a non-multiple-of-64
-    // shot count and across different chunkings per width.
-    let exp = MemoryExperiment::new(5, 5, MemoryBasis::Z);
-    let sampler = FrameSampler::new(&exp);
-    let noise = MemoryNoise::phenomenological(0.03);
-    for shots in [1000usize, 4096] {
-        let narrow = run_width(&sampler, &noise, shots, 0xA11CE, LaneWidth::X1, 4096);
-        for width in [LaneWidth::X4, LaneWidth::X8] {
-            for chunk in [512usize, 4096] {
-                let wide = run_width(&sampler, &noise, shots, 0xA11CE, width, chunk);
-                assert_eq!(
-                    narrow,
-                    wide,
-                    "width {} chunk {chunk} diverged at {shots} shots",
-                    width.name()
-                );
-            }
-        }
-        assert!(narrow.detection_events > 0);
-    }
-}
-
-#[test]
-fn threshold_sweep_is_invariant_under_width_and_workers() {
-    let uf = UnionFindDecoder::new();
-    let distances = [3usize, 5];
-    let rates = [5e-3, 5e-2];
-    let reference = ThresholdSweep::run_batch_configured(
-        &distances,
-        &rates,
-        1024,
-        &uf,
-        0xFEED,
-        &SweepConfig::default(),
-    );
-    for width in [LaneWidth::X1, LaneWidth::X4] {
-        for workers in [1usize, 3] {
-            let cfg = SweepConfig {
-                width,
-                workers,
-                early_exit: None,
-            };
-            let sweep =
-                ThresholdSweep::run_batch_configured(&distances, &rates, 1024, &uf, 0xFEED, &cfg);
-            assert_eq!(
-                reference,
-                sweep,
-                "width {} workers {workers} changed the sweep",
-                width.name()
-            );
-        }
     }
 }
 
@@ -348,14 +244,6 @@ fn early_exit_preserves_crossing_verdicts_at_pinned_point() {
         stopped,
         "early exit never fired on an above-threshold point"
     );
-    // And early-exited sweeps are themselves width-invariant.
-    let wide_cfg = SweepConfig {
-        width: LaneWidth::X1,
-        ..cfg
-    };
-    let early_narrow =
-        ThresholdSweep::run_batch_configured(&distances, &rates, 4096, &uf, 0xC0DE, &wide_cfg);
-    assert_eq!(early, early_narrow, "early exit is width-dependent");
 }
 
 #[test]
